@@ -196,7 +196,11 @@ def run_experiment(
 
 
 def default_workers(env: Mapping[str, str] | None = None) -> int:
-    """Worker count for bench runs; GRIDSCHED_THREADS caps it, 0 means auto."""
+    """Worker count for bench runs; GRIDSCHED_THREADS caps it, 0 means auto.
+
+    Auto is the number of CPUs this process may run on, where the platform
+    reports its affinity mask, and the machine's CPU count elsewhere.
+    """
     env = os.environ if env is None else env
     raw = env.get("GRIDSCHED_THREADS", "0")
     try:
@@ -206,6 +210,8 @@ def default_workers(env: Mapping[str, str] | None = None) -> int:
     if value < 0:
         raise ConfigurationError(f"GRIDSCHED_THREADS must be >= 0, got {value}")
     if value == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return value
 

@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="bench_results", help="directory for runs/traces CSVs")
     bench.set_defaults(func=cmd_bench)
 
-    oracle = sub.add_parser("oracle", help="exact optimum by exhaustive enumeration")
+    oracle = sub.add_parser(
+        "oracle", help="exact optimum of the penalized objective by exhaustive enumeration"
+    )
     oracle.add_argument("instance", help="instance JSON file")
     oracle.add_argument("--budget", type=int, default=model.DEFAULT_ENUMERATION_BUDGET)
     oracle.set_defaults(func=cmd_oracle)

@@ -3,7 +3,8 @@
 Holds the problem types (resources, jobs, instances), crisp schedules and their
 makespan evaluation, the fuzzy membership-matrix encoding with its constraint
 check and repair, the shared fitness function every solver routes through, and
-an exhaustive enumeration oracle for small instances.
+an exhaustive enumeration oracle for small instances that minimizes the same
+penalized objective.
 
 All operations are pure functions of their inputs; every value type is
 immutable after construction and safe to share between concurrent workers.
@@ -242,16 +243,18 @@ def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
     This is the one fitness path shared by every solver: makespan plus
     OVERSHOOT_PENALTY times the total availability-window overshoot.  With
     unbounded windows the fitness is exactly the makespan.
+
+    One flat bincount scores every row: row r's jobs land in bins r*n .. r*n+n-1,
+    each bin summed in job order as a per-row bincount would.  Entries must be
+    resource indices in [0, resource_count); they are not checked here
+    (:func:`assignment_fitness` checks them).
     """
     assignees = np.asarray(assignees, dtype=np.int64)
-    n = instance.resource_count
-    if len(assignees) <= 4:
-        cycles = np.stack(
-            [np.bincount(row, weights=instance.lengths, minlength=n) for row in assignees]
-        )
-    else:
-        onehot = assignees[:, :, None] == np.arange(n)
-        cycles = (onehot * instance.lengths[None, :, None]).sum(axis=1)
+    k, n = len(assignees), instance.resource_count
+    bins = (assignees + n * np.arange(k)[:, None]).ravel()
+    cycles = np.bincount(
+        bins, weights=np.tile(instance.lengths, k), minlength=k * n
+    ).reshape(k, n)
     completions = instance.start_times + cycles / instance.speeds
     makespans = completions.max(axis=1)
     overshoot = np.clip(completions - instance.end_times, 0.0, None).sum(axis=1)
@@ -320,13 +323,16 @@ def defuzzify(matrix: MembershipMatrix) -> Assignment:
 def brute_force_optimum(
     instance: GridInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[Assignment, float]:
-    """Enumerate every assignment and return a makespan-minimizing one.
+    """Enumerate every assignment and return one minimizing the solvers' objective.
 
-    Ties resolve to the lexicographically smallest assignment vector.  Raises
-    OracleBudgetError when resource_count ** job_count exceeds the budget.
-    Enumeration runs in chunks with the per-resource loads evaluated as
-    vectorized masked sums, so desk-scale instances (a few million
-    assignments) finish in seconds.
+    The objective is the penalized makespan of :func:`batch_fitness`: makespan
+    plus OVERSHOOT_PENALTY times the total window overshoot, which is plain
+    makespan when every window is unbounded.  The returned value is that
+    objective.  Ties resolve to the lexicographically smallest assignment
+    vector.  Raises OracleBudgetError when resource_count ** job_count exceeds
+    the budget.  Enumeration runs in chunks with the per-resource loads
+    evaluated as vectorized masked sums, so desk-scale instances (a few
+    million assignments) finish in seconds.
     """
     n = instance.resource_count
     m = instance.job_count
@@ -339,20 +345,24 @@ def brute_force_optimum(
     # order of the assignment vectors, and argmin returns the first minimum.
     place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
     proc = instance.lengths[None, :] / instance.speeds[:, None]
-    starts = instance.start_times
+    starts, ends = instance.start_times, instance.end_times
     best_value = math.inf
     best_id = -1
     chunk = 1 << 16
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         digits = (ids[:, None] // place[None, :]) % n
-        makespans = np.full(len(ids), -math.inf)
+        values = np.full(len(ids), -math.inf)
+        overshoot = 0.0
         for i in range(n):
             completions_i = starts[i] + ((digits == i) * proc[i]).sum(axis=1)
-            np.maximum(makespans, completions_i, out=makespans)
-        pos = int(np.argmin(makespans))
-        if makespans[pos] < best_value:
-            best_value = float(makespans[pos])
+            np.maximum(values, completions_i, out=values)
+            if math.isfinite(ends[i]):
+                overshoot = overshoot + np.clip(completions_i - ends[i], 0.0, None)
+        values += OVERSHOOT_PENALTY * overshoot
+        pos = int(np.argmin(values))
+        if values[pos] < best_value:
+            best_value = float(values[pos])
             best_id = int(ids[pos])
     digits = (best_id // place) % n
     return Assignment(tuple(digits.tolist())), best_value

@@ -17,9 +17,17 @@ from gridsched.baselines import (
     reflect_positions,
     sa_solve,
 )
-from gridsched.datasets import GeneratorSpec, generate_instance
+from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
 from gridsched.fuzzy_de import SolverConfig, solve as fuzzy_de_solve
-from gridsched.model import ConfigurationError, brute_force_optimum, check_constraints
+from gridsched.model import (
+    Assignment,
+    ConfigurationError,
+    GridInstance,
+    Job,
+    Resource,
+    brute_force_optimum,
+    check_constraints,
+)
 
 SOLVERS = {
     "ga": (ga_solve, lambda seed: GAConfig(population_size=16, max_iterations=40, seed=seed)),
@@ -143,7 +151,89 @@ class TestGA:
         assert hits >= 90
 
 
+def reference_sa(instance, config):
+    """SA scoring every move with a fresh copy through batch_fitness, step by step."""
+    rng = np.random.default_rng(config.seed)
+    n, m = instance.resource_count, instance.job_count
+    state = rng.integers(0, n, size=m)
+    fit = float(model.batch_fitness(instance, state[None, :])[0])
+    best_vec, best_fit = state.copy(), fit
+    trace = [best_fit]
+    temperature = config.initial_temperature
+    levels = 0
+    steps = config.steps_per_temperature
+    while temperature > config.min_temperature:
+        levels += 1
+        if n > 1:
+            jobs = rng.integers(0, m, size=steps)
+            moves = rng.integers(0, n - 1, size=steps)
+            accepts = rng.random(steps)
+            for step in range(steps):
+                job = jobs[step]
+                move = moves[step] + (moves[step] >= state[job])
+                candidate = state.copy()
+                candidate[job] = move
+                candidate_fit = float(model.batch_fitness(instance, candidate[None, :])[0])
+                delta = candidate_fit - fit
+                if delta <= 0 or accepts[step] < math.exp(-delta / temperature):
+                    state, fit = candidate, candidate_fit
+                    if fit < best_fit:
+                        best_fit = fit
+                        best_vec = state.copy()
+        temperature *= config.cooling_rate
+        trace.append(best_fit)
+    return Assignment(tuple(best_vec.tolist())), best_fit, tuple(trace), levels
+
+
+WINDOW = ((0.0, 5.0), (20.0, 60.0))
+# Windows that most resources overrun, so the overshoot sums many terms.
+TIGHT_WINDOW = ((0.0, 5.0), (10.0, 20.0))
+# Every instance has integer lengths.  With n >= 8 numpy sums the overshoot
+# pairwise, where a plain sequential sum would differ in the last bit.
+SA_IDENTITY_CASES = [
+    *(pytest.param(name, id=name) for name in ("r3_j13", "r5_j100", "r8_j60", "r10_j50")),
+    pytest.param(GeneratorSpec(3, 7, window=WINDOW, seed=15), id="w3x7_s15"),
+    *(
+        pytest.param(GeneratorSpec(n, m, window=TIGHT_WINDOW, seed=seed), id=f"w{n}x{m}_s{seed}")
+        for n, m, seed in ((8, 30, 1), (9, 20, 2), (12, 40, 3), (16, 60, 4))
+    ),
+    pytest.param(GeneratorSpec(1, 7, seed=13), id="n1"),
+    pytest.param(GeneratorSpec(5, 1, seed=13), id="m1"),
+    pytest.param(GeneratorSpec(1, 1, window=WINDOW, seed=13), id="n1_m1_windowed"),
+]
+
+
 class TestSA:
+    @pytest.mark.parametrize("source", SA_IDENTITY_CASES)
+    def test_bit_identical_to_per_step_batch_fitness(self, source):
+        if isinstance(source, str):
+            instance = fixture_suite()[source]
+        else:
+            instance = generate_instance(source)
+        config = SAConfig(cooling_rate=0.98**10, seed=5)
+        result = sa_solve(instance, config)
+        got = (result.best_assignment, result.best_makespan, result.trace, result.iterations_run)
+        assert got == reference_sa(instance, config)
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_non_integer_lengths_keep_score_and_trace_consistent(self, windowed):
+        rng = np.random.default_rng(11)
+        n, m = 9, 40
+        starts = rng.uniform(0.0, 5.0, n) if windowed else np.zeros(n)
+        ends = starts + rng.uniform(20.0, 60.0, n) if windowed else np.full(n, math.inf)
+        instance = GridInstance(
+            resources=tuple(
+                Resource(i, float(rng.uniform(0.5, 10.0)), float(starts[i]), float(ends[i]))
+                for i in range(n)
+            ),
+            jobs=tuple(Job(j, float(rng.uniform(0.1, 100.0))) for j in range(m)),
+        )
+        result = sa_solve(instance, SAConfig(cooling_rate=0.98**5, seed=2))
+        direct = model.assignment_fitness(instance, result.best_assignment)
+        assert result.best_makespan == pytest.approx(direct, rel=1e-12)
+        assert all(x >= y for x, y in zip(result.trace, result.trace[1:]))
+        assert result.trace[-1] == result.best_makespan
+
     def test_equal_fitness_moves_always_accepted(self):
         # Acceptance for a zero increase is exp(0) = 1 regardless of temperature.
         assert math.exp(-0.0 / 5.0) == 1.0

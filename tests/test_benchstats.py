@@ -222,6 +222,16 @@ class TestWorkers:
     def test_unset_means_auto(self):
         assert default_workers({}) >= 1
 
+    def test_auto_counts_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(benchstats.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(benchstats.os, "cpu_count", lambda: 8)
+        assert default_workers({}) == 1
+
+    def test_auto_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(benchstats.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(benchstats.os, "cpu_count", lambda: 8)
+        assert default_workers({}) == 8
+
     def test_garbage_rejected(self):
         with pytest.raises(ConfigurationError):
             default_workers({"GRIDSCHED_THREADS": "many"})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
 from gridsched.model import (
+    OVERSHOOT_PENALTY,
     Assignment,
     GridInstance,
     Job,
@@ -167,6 +169,32 @@ class TestFitness:
         for row, fit in zip(assignees, fits):
             assert fit == pytest.approx(naive_fitness(inst, row), rel=1e-12)
 
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 25),
+        st.integers(1, 30),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_flat_kernel_equals_stacked_per_row_bincount(self, k, n, m, windowed, seed):
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0.0, 5.0, n) if windowed else np.zeros(n)
+        ends = starts + rng.uniform(1.0, 60.0, n) if windowed else np.full(n, math.inf)
+        inst = make_instance(
+            rng.uniform(0.5, 10.0, n).tolist(),
+            rng.uniform(0.1, 100.0, m).tolist(),
+            starts.tolist(),
+            ends.tolist(),
+        )
+        assignees = rng.integers(0, n, size=(k, m))
+        cycles = np.stack(
+            [np.bincount(row, weights=inst.lengths, minlength=n) for row in assignees]
+        )
+        completions = inst.start_times + cycles / inst.speeds
+        overshoot = np.clip(completions - inst.end_times, 0.0, None).sum(axis=1)
+        expected = completions.max(axis=1) + OVERSHOOT_PENALTY * overshoot
+        np.testing.assert_array_equal(batch_fitness(inst, assignees), expected)
+
 
 class TestDefuzzify:
     def test_unique_maximum_column(self):
@@ -297,10 +325,27 @@ class TestBruteForce:
                 )
             )
             _, optimum = brute_force_optimum(inst)
-            import itertools
-
             naive_best = min(
                 naive_makespan(inst, a)
                 for a in itertools.product(range(inst.resource_count), repeat=inst.job_count)
             )
             assert optimum == pytest.approx(naive_best, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "window, seed",
+        # The tight windows leave no feasible schedule, so the optimum overshoots.
+        [(((0.0, 5.0), (20.0, 60.0)), seed) for seed in range(13, 20)]
+        + [(((0.0, 5.0), (10.0, 20.0)), seed) for seed in range(4)],
+    )
+    def test_minimises_the_penalised_objective_on_windowed_instances(self, window, seed):
+        inst = generate_instance(GeneratorSpec(3, 7, window=window, seed=seed))
+        assignment, value = brute_force_optimum(inst)
+        naive_best = min(
+            naive_fitness(inst, a)
+            for a in itertools.product(range(inst.resource_count), repeat=inst.job_count)
+        )
+        assert value == pytest.approx(naive_best, rel=1e-12)
+        assert naive_fitness(inst, assignment.assignee) == pytest.approx(value, rel=1e-12)
+        if window[1] == (20.0, 60.0) and seed == 15:
+            # The plain-makespan optimum of this instance scores 40.94.
+            assert value == pytest.approx(24.2434, abs=1e-4)
