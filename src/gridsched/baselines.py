@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridsched import model
+from gridsched import fuzzy_de, model
 from gridsched.fuzzy_de import RunResult, SolverConfig
 from gridsched.model import Assignment, ConfigurationError, GridInstance
 
@@ -274,48 +274,14 @@ def decode_positions(vectors: np.ndarray, resource_count: int) -> np.ndarray:
 
 
 def crisp_de_solve(instance: GridInstance, config: SolverConfig) -> RunResult:
-    """DE/rand/1/bin over real vectors in [0, n) decoded by floor."""
+    """Crisp DE: the fuzzy_de.evolve engine over real vectors in [0, n), decoded by floor."""
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     n, m = instance.resource_count, instance.job_count
-    pop_size = config.population_size
-
-    population = rng.uniform(0, n, size=(pop_size, m))
-    fits = model.batch_fitness(instance, decode_positions(population, n))
-    best_index = int(np.argmin(fits))
-    best_fit = float(fits[best_index])
-    best_vec = population[best_index].copy()
-    trace = [best_fit]
-
-    for _ in range(config.max_iterations):
-        order = np.argsort(rng.random((pop_size, pop_size - 1)), axis=1)[:, :3]
-        partners = order + (order >= np.arange(pop_size)[:, None])
-        mutants = population[partners[:, 0]] + config.scaling_factor * (
-            population[partners[:, 1]] - population[partners[:, 2]]
-        )
-        take_mutant = rng.random((pop_size, m)) < config.crossover_rate
-        forced = rng.integers(0, m, size=pop_size)
-        take_mutant[np.arange(pop_size), forced] = True
-        trials = np.where(take_mutant, mutants, population)
-        trials = reflect_positions(trials, n)
-        trial_fits = model.batch_fitness(instance, decode_positions(trials, n))
-        improved = trial_fits < fits
-        population[improved] = trials[improved]
-        fits[improved] = trial_fits[improved]
-        index = int(np.argmin(fits))
-        if fits[index] < best_fit:
-            best_fit = float(fits[index])
-            best_vec = population[index].copy()
-        trace.append(best_fit)
-
-    decoded = decode_positions(best_vec[None, :], n)[0]
-    return RunResult(
-        best_assignment=Assignment(tuple(decoded.tolist())),
-        best_makespan=best_fit,
-        trace=tuple(trace),
-        wall_time=time.perf_counter() - started,
-        iterations_run=config.max_iterations,
-    )
+    positions = rng.uniform(0, n, size=(config.population_size, m))
+    reflect = lambda vectors: reflect_positions(vectors, n)
+    decode = lambda vectors: decode_positions(vectors, n)
+    return fuzzy_de.evolve(instance, positions, config, rng, reflect, decode, started)
 
 
 def pso_step(

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,14 @@ class AlgorithmInfo:
     overrides: Mapping[str, str]
 
 
+# Both DE solvers run the one DE engine on a SolverConfig.
+DE_OVERRIDES = {
+    "np": "population_size",
+    "f": "scaling_factor",
+    "cr": "crossover_rate",
+    "iters": "max_iterations",
+}
+
 ALGORITHMS: dict[str, AlgorithmInfo] = {
     "ga": AlgorithmInfo(
         "GA",
@@ -53,28 +61,8 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         PSOConfig,
         {"np": "swarm_size", "iters": "max_iterations"},
     ),
-    "de": AlgorithmInfo(
-        "DE",
-        baselines.crisp_de_solve,
-        SolverConfig,
-        {
-            "np": "population_size",
-            "f": "scaling_factor",
-            "cr": "crossover_rate",
-            "iters": "max_iterations",
-        },
-    ),
-    "fuzzy-de": AlgorithmInfo(
-        "Fuzzy DE",
-        fuzzy_de.solve,
-        SolverConfig,
-        {
-            "np": "population_size",
-            "f": "scaling_factor",
-            "cr": "crossover_rate",
-            "iters": "max_iterations",
-        },
-    ),
+    "de": AlgorithmInfo("DE", baselines.crisp_de_solve, SolverConfig, DE_OVERRIDES),
+    "fuzzy-de": AlgorithmInfo("Fuzzy DE", fuzzy_de.solve, SolverConfig, DE_OVERRIDES),
 }
 
 
@@ -265,13 +253,20 @@ def export_csv(results: Sequence[StatsSummary], out_dir: str | Path) -> None:
                 zip(summary.per_run_makespans, summary.per_run_wall_times)
             ):
                 writer.writerow([run_id, summary.algorithm, summary.instance, repr(makespan), repr(wall)])
-    with open(out / TRACES_CSV, "w", encoding="utf-8", newline="") as handle:
+    write_traces(
+        out / TRACES_CSV,
+        ((s.algorithm, s.instance, trace) for s in results for trace in s.per_run_traces),
+    )
+
+
+def write_traces(path: str | Path, traces: Iterable[tuple[str, str, Sequence[float]]]) -> None:
+    """Write (algorithm, instance, trace) triples as traces CSV rows, one per generation."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["algorithm", "instance", "generation", "best_makespan"])
-        for summary in results:
-            for trace in summary.per_run_traces:
-                for generation, value in enumerate(trace):
-                    writer.writerow([summary.algorithm, summary.instance, generation, repr(value)])
+        for algorithm, instance, trace in traces:
+            for generation, value in enumerate(trace):
+                writer.writerow([algorithm, instance, generation, repr(value)])
 
 
 def summaries_to_means(results: Sequence[StatsSummary]) -> dict[str, dict[str, float]]:

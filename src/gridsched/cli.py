@@ -7,7 +7,6 @@ error, 3 oracle enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -117,11 +116,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _print_schedule(result.best_makespan, result.best_assignment)
     if args.trace:
         name = Path(args.instance).stem
-        with open(args.trace, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["algorithm", "instance", "generation", "best_makespan"])
-            for generation, value in enumerate(result.trace):
-                writer.writerow([spec.display, name, generation, repr(value)])
+        benchstats.write_traces(args.trace, [(spec.display, name, result.trace)])
     return 0
 
 

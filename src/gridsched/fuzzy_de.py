@@ -7,9 +7,10 @@ crossover mixes it with the target (one forced slot always comes from the
 mutant), the trial is repaired back onto the constraint set, and greedy
 selection keeps the strictly better of trial and target.
 
-The generation loop is vectorized over the whole population; the per-target
-operators below implement the identical arithmetic and are the reference
-for the population step.
+`evolve` is the one DE engine, vectorized over the whole population.  Crisp
+DE (baselines.crisp_de_solve) runs the same engine and differs only in its
+genome: a real vector, reflected into range and decoded by floor.  `mutate`
+and `crossover` run the engine's draws on a single target.
 """
 
 from __future__ import annotations
@@ -85,25 +86,31 @@ class RunResult:
     iterations_run: int
 
 
-def genome_fitness(instance: GridInstance, genome: MembershipMatrix) -> float:
-    """Penalized makespan of the genome's argmax decoding (shared fitness path)."""
-    assignees = model.batch_defuzzify(genome.values[None, :, :])
-    return float(model.batch_fitness(instance, assignees)[0])
+def _mutants(
+    genomes: np.ndarray, targets: np.ndarray, scaling_factor: float, rng: np.random.Generator
+) -> np.ndarray:
+    """DE/rand/1 mutants, one per target row of the (pop, ...) genome stack.
+
+    Each target's base and difference partners are uniform, mutually distinct
+    and distinct from the target: argsort of iid uniforms is a random
+    permutation of the other indices.
+    """
+    order = np.argsort(rng.random((len(targets), len(genomes) - 1)), axis=1)[:, :3]
+    partners = order + (order >= targets[:, None])
+    return genomes[partners[:, 0]] + scaling_factor * (
+        genomes[partners[:, 1]] - genomes[partners[:, 2]]
+    )
 
 
-def init_population(
-    n: int,
-    m: int,
-    config: SolverConfig,
-    rng: np.random.Generator,
-    evaluate: Callable[[MembershipMatrix], float],
-) -> list[Individual]:
-    """Population of uniform(0,1) matrices column-normalized to unit sums."""
-    population = []
-    for _ in range(config.population_size):
-        genome = model.repair(rng.random((n, m)))
-        population.append(Individual(genome=genome, fitness=float(evaluate(genome))))
-    return population
+def _crossover(
+    genomes: np.ndarray, mutants: np.ndarray, crossover_rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Binomial crossover of (k, ...) target and mutant stacks, one forced slot per row."""
+    k = len(genomes)
+    take_mutant = rng.random(genomes.shape) < crossover_rate
+    forced = rng.integers(0, genomes[0].size, size=k)
+    take_mutant.reshape(k, -1)[np.arange(k), forced] = True
+    return np.where(take_mutant, mutants, genomes)
 
 
 def mutate(
@@ -112,19 +119,16 @@ def mutate(
     scaling_factor: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Raw mutant: base + scaling_factor * (first - second).
+    """Raw mutant base + scaling_factor * (first - second) for one target.
 
-    The base and the two difference individuals are drawn uniformly, mutually
-    distinct, and distinct from the target.  The result may leave the
+    The engine's partner draw on a single row.  The result may leave the
     constraint set; repair happens after crossover.
     """
     size = len(population)
     if size < 4:
         raise ConfigurationError(f"mutation needs a population of at least 4, got {size}")
-    picks = rng.choice(size - 1, size=3, replace=False)
-    picks = picks + (picks >= target_index)
-    base, first, second = (population[int(i)].genome.values for i in picks)
-    return base + scaling_factor * (first - second)
+    genomes = np.stack([ind.genome.values for ind in population])
+    return _mutants(genomes, np.array([target_index]), scaling_factor, rng)[0]
 
 
 def crossover(
@@ -133,7 +137,7 @@ def crossover(
     crossover_rate: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Binomial crossover with one forced mutant slot.
+    """Binomial crossover with one forced mutant slot (the engine's, on one row).
 
     Per slot, a uniform draw below crossover_rate takes the mutant value,
     otherwise the target value; one uniformly chosen slot always takes the
@@ -143,73 +147,59 @@ def crossover(
     mutant = np.asarray(mutant)
     if target_values.shape != mutant.shape:
         raise ValueError(f"shape mismatch: target {target_values.shape}, mutant {mutant.shape}")
-    take_mutant = rng.random(target_values.shape) < crossover_rate
-    forced = int(rng.integers(target_values.size))
-    take_mutant.reshape(-1)[forced] = True
-    return np.where(take_mutant, mutant, target_values)
+    return _crossover(target_values[None], mutant[None], crossover_rate, rng)[0]
 
 
-def select(target: Individual, trial: Individual) -> Individual:
-    """Greedy one-to-one selection; ties retain the parent."""
-    return trial if trial.fitness < target.fitness else target
-
-
-def _evolve_generation(
+def evolve(
     instance: GridInstance,
-    stack: np.ndarray,
-    fits: np.ndarray,
+    genomes: np.ndarray,
     config: SolverConfig,
     rng: np.random.Generator,
-) -> None:
-    """One DE generation over the (pop, n, m) stack, updated in place."""
-    pop_size, n, m = stack.shape
-    # Uniform ordered triples of partner indices, each distinct from its target:
-    # argsort of iid uniforms is a random permutation of the other indices.
-    order = np.argsort(rng.random((pop_size, pop_size - 1)), axis=1)[:, :3]
-    partners = order + (order >= np.arange(pop_size)[:, None])
-    mutants = stack[partners[:, 0]] + config.scaling_factor * (
-        stack[partners[:, 1]] - stack[partners[:, 2]]
-    )
-    take_mutant = rng.random(stack.shape) < config.crossover_rate
-    forced = rng.integers(0, n * m, size=pop_size)
-    take_mutant.reshape(pop_size, -1)[np.arange(pop_size), forced] = True
-    trials = np.where(take_mutant, mutants, stack)
-    model.repair_stack(trials)
-    trial_fits = model.batch_fitness(instance, model.batch_defuzzify(trials))
-    improved = trial_fits < fits
-    stack[improved] = trials[improved]
-    fits[improved] = trial_fits[improved]
+    repair: Callable[[np.ndarray], np.ndarray],
+    decode: Callable[[np.ndarray], np.ndarray],
+    started: float,
+) -> RunResult:
+    """DE/rand/1/bin with greedy selection, evolving the (pop, ...) stack in place.
 
-
-def solve(instance: GridInstance, config: SolverConfig) -> RunResult:
-    """Run the full fuzzy DE loop; deterministic for a fixed config."""
-    started = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    n, m = instance.resource_count, instance.job_count
-
-    population = init_population(
-        n, m, config, rng, lambda genome: genome_fitness(instance, genome)
-    )
-    stack = np.stack([ind.genome.values for ind in population])
-    fits = np.array([ind.fitness for ind in population])
-
+    `repair` maps raw trials back onto the genome's domain and `decode` maps
+    genomes to assignment rows for model.batch_fitness.  Wall time counts
+    from the perf_counter reading `started`.
+    """
+    fits = model.batch_fitness(instance, decode(genomes))
     best_index = int(np.argmin(fits))
     best_fitness = float(fits[best_index])
-    best_genome = stack[best_index].copy()
+    best_genome = genomes[best_index].copy()
     trace = [best_fitness]
 
     for _ in range(config.max_iterations):
-        _evolve_generation(instance, stack, fits, config, rng)
+        mutants = _mutants(genomes, np.arange(len(genomes)), config.scaling_factor, rng)
+        trials = repair(_crossover(genomes, mutants, config.crossover_rate, rng))
+        trial_fits = model.batch_fitness(instance, decode(trials))
+        improved = trial_fits < fits
+        genomes[improved] = trials[improved]
+        fits[improved] = trial_fits[improved]
         index = int(np.argmin(fits))
         if fits[index] < best_fitness:
             best_fitness = float(fits[index])
-            best_genome = stack[index].copy()
+            best_genome = genomes[index].copy()
         trace.append(best_fitness)
 
     return RunResult(
-        best_assignment=model.defuzzify(MembershipMatrix(best_genome)),
+        best_assignment=Assignment(tuple(decode(best_genome[None])[0].tolist())),
         best_makespan=best_fitness,
         trace=tuple(trace),
         wall_time=time.perf_counter() - started,
         iterations_run=config.max_iterations,
+    )
+
+
+def solve(instance: GridInstance, config: SolverConfig) -> RunResult:
+    """Run fuzzy DE: the engine over membership matrices, decoded by argmax."""
+    started = time.perf_counter()
+    rng = np.random.default_rng(config.seed)
+    shape = (config.population_size, instance.resource_count, instance.job_count)
+    # Uniform(0,1) matrices column-normalized to unit sums.
+    genomes = model.repair_stack(rng.random(shape))
+    return evolve(
+        instance, genomes, config, rng, model.repair_stack, model.batch_defuzzify, started
     )

@@ -24,6 +24,7 @@ from gridsched.model import (
     ConfigurationError,
     GridInstance,
     Job,
+    MembershipMatrix,
     Resource,
     brute_force_optimum,
     check_constraints,
@@ -268,6 +269,116 @@ class TestSA:
         # levels: 8, 4, 2 are all > 1; trace has one extra leading point
         assert result.iterations_run == 3
         assert len(result.trace) == 4
+
+
+def reference_fuzzy_de(instance, config):
+    """Fuzzy DE with per-matrix initialization and scoring and an inline population step."""
+    rng = np.random.default_rng(config.seed)
+    n, m = instance.resource_count, instance.job_count
+
+    population = []
+    for _ in range(config.population_size):
+        genome = model.repair(rng.random((n, m)))
+        assignees = model.batch_defuzzify(genome.values[None, :, :])
+        population.append((genome, float(model.batch_fitness(instance, assignees)[0])))
+    stack = np.stack([genome.values for genome, _ in population])
+    fits = np.array([fitness for _, fitness in population])
+
+    best_index = int(np.argmin(fits))
+    best_fitness = float(fits[best_index])
+    best_genome = stack[best_index].copy()
+    trace = [best_fitness]
+
+    for _ in range(config.max_iterations):
+        pop_size, n, m = stack.shape
+        order = np.argsort(rng.random((pop_size, pop_size - 1)), axis=1)[:, :3]
+        partners = order + (order >= np.arange(pop_size)[:, None])
+        mutants = stack[partners[:, 0]] + config.scaling_factor * (
+            stack[partners[:, 1]] - stack[partners[:, 2]]
+        )
+        take_mutant = rng.random(stack.shape) < config.crossover_rate
+        forced = rng.integers(0, n * m, size=pop_size)
+        take_mutant.reshape(pop_size, -1)[np.arange(pop_size), forced] = True
+        trials = np.where(take_mutant, mutants, stack)
+        model.repair_stack(trials)
+        trial_fits = model.batch_fitness(instance, model.batch_defuzzify(trials))
+        improved = trial_fits < fits
+        stack[improved] = trials[improved]
+        fits[improved] = trial_fits[improved]
+        index = int(np.argmin(fits))
+        if fits[index] < best_fitness:
+            best_fitness = float(fits[index])
+            best_genome = stack[index].copy()
+        trace.append(best_fitness)
+
+    assignment = model.defuzzify(MembershipMatrix(best_genome))
+    return assignment, best_fitness, tuple(trace), config.max_iterations
+
+
+def reference_crisp_de(instance, config):
+    """Crisp DE with its own inline partner draw, crossover and greedy selection."""
+    rng = np.random.default_rng(config.seed)
+    n, m = instance.resource_count, instance.job_count
+    pop_size = config.population_size
+
+    population = rng.uniform(0, n, size=(pop_size, m))
+    fits = model.batch_fitness(instance, decode_positions(population, n))
+    best_index = int(np.argmin(fits))
+    best_fit = float(fits[best_index])
+    best_vec = population[best_index].copy()
+    trace = [best_fit]
+
+    for _ in range(config.max_iterations):
+        order = np.argsort(rng.random((pop_size, pop_size - 1)), axis=1)[:, :3]
+        partners = order + (order >= np.arange(pop_size)[:, None])
+        mutants = population[partners[:, 0]] + config.scaling_factor * (
+            population[partners[:, 1]] - population[partners[:, 2]]
+        )
+        take_mutant = rng.random((pop_size, m)) < config.crossover_rate
+        forced = rng.integers(0, m, size=pop_size)
+        take_mutant[np.arange(pop_size), forced] = True
+        trials = np.where(take_mutant, mutants, population)
+        trials = reflect_positions(trials, n)
+        trial_fits = model.batch_fitness(instance, decode_positions(trials, n))
+        improved = trial_fits < fits
+        population[improved] = trials[improved]
+        fits[improved] = trial_fits[improved]
+        index = int(np.argmin(fits))
+        if fits[index] < best_fit:
+            best_fit = float(fits[index])
+            best_vec = population[index].copy()
+        trace.append(best_fit)
+
+    decoded = decode_positions(best_vec[None, :], n)[0]
+    return Assignment(tuple(decoded.tolist())), best_fit, tuple(trace), config.max_iterations
+
+
+DE_IDENTITY_CASES = [
+    *(pytest.param(name, 5, id=name) for name in ("r3_j13", "r5_j100", "r8_j60", "r10_j50")),
+    pytest.param(GeneratorSpec(3, 7, window=WINDOW, seed=15), 5, id="w3x7_s15"),
+    pytest.param(GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3), 5, id="w12x40_s3"),
+    pytest.param(GeneratorSpec(1, 7, seed=13), 5, id="n1"),
+    pytest.param(GeneratorSpec(5, 1, seed=13), 5, id="m1"),
+    pytest.param("r8_j60", 2**64 - 1, id="r8_j60_max_seed"),
+]
+
+
+class TestDEEngine:
+    @pytest.mark.parametrize(
+        "solver, reference",
+        [(fuzzy_de_solve, reference_fuzzy_de), (crisp_de_solve, reference_crisp_de)],
+        ids=["fuzzy-de", "de"],
+    )
+    @pytest.mark.parametrize("source, seed", DE_IDENTITY_CASES)
+    def test_bit_identical_to_inline_reference(self, solver, reference, source, seed):
+        if isinstance(source, str):
+            instance = fixture_suite()[source]
+        else:
+            instance = generate_instance(source)
+        config = SolverConfig(max_iterations=250, seed=seed)
+        result = solver(instance, config)
+        got = (result.best_assignment, result.best_makespan, result.trace, result.iterations_run)
+        assert got == reference(instance, config)
 
 
 class TestCrispDE:

@@ -1,8 +1,9 @@
 import csv
 import pytest
 
+from gridsched.benchstats import make_spec, run_solver, write_traces
 from gridsched.cli import main
-from gridsched.datasets import GeneratorSpec, generate_instance, save_instance
+from gridsched.datasets import GeneratorSpec, generate_instance, load_instance, save_instance
 from gridsched.model import brute_force_optimum
 
 
@@ -74,6 +75,12 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "algorithm,instance,generation,best_makespan"
         assert len(lines) == 1 + 13
+        spec = make_spec("ga", np=8, iters=12, seed=2)
+        result = run_solver(load_instance(instance_file), spec, 2)
+        assert lines[1] == f"GA,r2_j6,0,{result.trace[0]!r}"
+        expected = tmp_path / "expected.csv"
+        write_traces(expected, [(spec.display, "r2_j6", result.trace)])
+        assert trace.read_bytes() == expected.read_bytes()
 
     def test_unknown_algorithm_is_usage_error(self, instance_file):
         assert main(["solve", "--algo", "tabu", str(instance_file)]) == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,18 @@ from gridsched.datasets import GeneratorSpec, generate_instance
 from gridsched.fuzzy_de import (
     Individual,
     SolverConfig,
-    _evolve_generation,
+    _mutants,
     crossover,
-    genome_fitness,
-    init_population,
+    evolve,
     mutate,
-    select,
     solve,
 )
 from gridsched.model import (
     ConfigurationError,
+    GridInstance,
+    Job,
+    MembershipMatrix,
+    Resource,
     brute_force_optimum,
     check_constraints,
     repair,
@@ -47,31 +51,58 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
-class TestInitPopulation:
-    def test_genomes_satisfy_constraints_and_count(self, small_instance):
-        rng = np.random.default_rng(0)
-        config = SolverConfig(population_size=12, max_iterations=0)
-        pop = init_population(3, 8, config, rng, lambda g: genome_fitness(small_instance, g))
-        assert len(pop) == 12
-        for ind in pop:
-            assert check_constraints(ind.genome.values)
-            assert ind.fitness == pytest.approx(genome_fitness(small_instance, ind.genome))
+def recorded_stacks(monkeypatch, name):
+    """Wrap model.<name> to keep a copy of each stack passed to it, as left by the call."""
+    original = getattr(model, name)
+    stacks = []
 
-    def test_same_seed_same_population(self, small_instance):
-        config = SolverConfig(population_size=6)
-        evaluate = lambda g: genome_fitness(small_instance, g)
-        pop_a = init_population(3, 8, config, np.random.default_rng(9), evaluate)
-        pop_b = init_population(3, 8, config, np.random.default_rng(9), evaluate)
-        for a, b in zip(pop_a, pop_b):
-            np.testing.assert_array_equal(a.genome.values, b.genome.values)
-            assert a.fitness == b.fitness
+    def recording(stack):
+        out = original(stack)
+        stacks.append(stack.copy())
+        return out
 
-    def test_single_resource_gives_all_ones(self):
+    monkeypatch.setattr(model, name, recording)
+    return stacks
+
+
+class TestInitialPopulation:
+    # With no generations, solve repairs exactly once: the initial population.
+    def test_genomes_satisfy_constraints_and_count(self, small_instance, monkeypatch):
+        repaired = recorded_stacks(monkeypatch, "repair_stack")
+        scored = []
+        original = model.batch_fitness
+
+        def scoring(instance, assignees):
+            scored.append(original(instance, assignees))
+            return scored[-1]
+
+        monkeypatch.setattr(model, "batch_fitness", scoring)
+        result = solve(small_instance, SolverConfig(population_size=12, max_iterations=0))
+        (stack,) = repaired
+        (fits,) = scored
+        assert stack.shape == (12, 3, 8)
+        for genome in stack:
+            assert check_constraints(genome)
+        scores = [
+            model.assignment_fitness(small_instance, model.defuzzify(MembershipMatrix(genome)))
+            for genome in stack
+        ]
+        assert fits.tolist() == scores
+        assert result.trace == (min(scores),)
+
+    def test_same_seed_same_population(self, small_instance, monkeypatch):
+        repaired = recorded_stacks(monkeypatch, "repair_stack")
+        config = SolverConfig(population_size=6, max_iterations=0, seed=9)
+        a = solve(small_instance, config)
+        b = solve(small_instance, config)
+        np.testing.assert_array_equal(repaired[0], repaired[1])
+        assert a.trace == b.trace
+
+    def test_single_resource_gives_all_ones(self, monkeypatch):
         inst = generate_instance(GeneratorSpec(1, 5, seed=3))
-        rng = np.random.default_rng(1)
-        pop = init_population(1, 5, SolverConfig(), rng, lambda g: genome_fitness(inst, g))
-        for ind in pop:
-            np.testing.assert_array_equal(ind.genome.values, np.ones((1, 5)))
+        repaired = recorded_stacks(monkeypatch, "repair_stack")
+        solve(inst, SolverConfig(max_iterations=0, seed=1))
+        np.testing.assert_array_equal(repaired[0], np.ones((10, 1, 5)))
 
 
 class TestMutate:
@@ -92,8 +123,8 @@ class TestMutate:
         # Single-slot genomes make the combination visible: 0.4 + 0.5*(0.8-0.2).
         pop = make_population([[[0.0]], [[0.4]], [[0.8]], [[0.2]]])
         rng = np.random.default_rng(11)
-        picks = np.random.default_rng(11).choice(3, size=3, replace=False)
-        picks = picks + (picks >= 0)
+        order = np.argsort(np.random.default_rng(11).random(3))
+        picks = order + (order >= 0)
         expected = pop[picks[0]].genome.values + 0.5 * (
             pop[picks[1]].genome.values - pop[picks[2]].genome.values
         )
@@ -102,15 +133,23 @@ class TestMutate:
         direct = 0.4 + 0.5 * (0.8 - 0.2)
         assert direct == pytest.approx(0.7)
 
-    def test_minimum_population_produces_distinct_indices(self):
-        pop = make_population([np.full((1, 1), v) for v in (0.1, 0.3, 0.5, 0.7)])
-        for target in range(4):
-            for trial in range(50):
-                rng = np.random.default_rng(trial)
-                picks = rng.choice(3, size=3, replace=False)
-                picks = picks + (picks >= target)
-                chosen = {target, *picks.tolist()}
-                assert len(chosen) == 4
+    @pytest.mark.parametrize("size", [4, 5, 7, 12])
+    def test_partners_are_distinct_and_differ_from_the_target(self, size):
+        # Genome i holds the unit vector e_i, so with F = 0.5 the mutant
+        # e_base + 0.5 * (e_first - e_second) shows its three partners, and
+        # any coincidence among them breaks the pattern of values.
+        def partners(mutant):
+            assert sorted(mutant.tolist()) == [-0.5] + [0.0] * (size - 3) + [0.5, 1.0]
+            return set(np.flatnonzero(mutant).tolist())
+
+        unit = np.eye(size)
+        pop = make_population([np.vstack([unit[i], 1.0 - unit[i]]) for i in range(size)])
+        for seed in range(50):
+            population_path = _mutants(unit, np.arange(size), 0.5, np.random.default_rng(seed))
+            for target in range(size):
+                assert target not in partners(population_path[target])
+                single_row = mutate(pop, target, 0.5, np.random.default_rng(seed))
+                assert target not in partners(single_row[0])
 
     def test_rejects_tiny_population(self):
         pop = make_population([[[1.0]], [[1.0]], [[1.0]]])
@@ -150,21 +189,44 @@ class TestCrossover:
             crossover(repair(np.full((2, 2), 0.5)), np.zeros((3, 2)), 0.5, np.random.default_rng(0))
 
 
-class TestSelect:
+class TestSelection:
+    # One job on resources of speed 1 and 2: resource 0 scores 2.0, resource
+    # 1 scores 1.0.  Every parent holds 0.0 and repair makes every first
+    # trial 1.0.  With crossover rate 0 and one slot, the second generation's
+    # raw trials are pure mutants v + F * (v - v) = v of the population, so
+    # they show whether it kept the parents or took the trials.
+    INSTANCE = GridInstance(resources=(Resource(0, 1.0), Resource(1, 2.0)), jobs=(Job(0, 2.0),))
+
+    def run(self, decode):
+        raw = []
+
+        def repair(trials):
+            raw.append(trials.copy())
+            return np.ones_like(trials) if len(raw) == 1 else trials
+
+        config = SolverConfig(population_size=4, crossover_rate=0.0, max_iterations=2)
+        result = evolve(
+            self.INSTANCE, np.zeros((4, 1)), config, np.random.default_rng(0),
+            repair, decode, time.perf_counter(),
+        )
+        return result, raw[1]
+
     def test_strict_improvement_takes_trial(self):
-        target = Individual(repair(np.full((1, 1), 1.0)), 6.0)
-        trial = Individual(repair(np.full((1, 1), 1.0)), 5.0)
-        assert select(target, trial) is trial
+        result, second = self.run(lambda g: (g >= 0.5).astype(np.int64))
+        np.testing.assert_array_equal(second, np.ones((4, 1)))
+        assert result.trace == (2.0, 1.0, 1.0)
+        assert result.best_assignment.assignee == (1,)
 
     def test_tie_retains_parent(self):
-        target = Individual(repair(np.full((1, 1), 1.0)), 6.0)
-        trial = Individual(repair(np.full((1, 1), 1.0)), 6.0)
-        assert select(target, trial) is target
+        result, second = self.run(lambda g: np.zeros(g.shape, dtype=np.int64))
+        np.testing.assert_array_equal(second, np.zeros((4, 1)))
+        assert result.trace == (2.0, 2.0, 2.0)
 
     def test_worse_trial_rejected(self):
-        target = Individual(repair(np.full((1, 1), 1.0)), 6.0)
-        trial = Individual(repair(np.full((1, 1), 1.0)), 7.0)
-        assert select(target, trial) is target
+        result, second = self.run(lambda g: (g < 0.5).astype(np.int64))
+        np.testing.assert_array_equal(second, np.zeros((4, 1)))
+        assert result.trace == (1.0, 1.0, 1.0)
+        assert result.best_assignment.assignee == (1,)
 
 
 class TestSolve:
@@ -209,16 +271,14 @@ class TestSolve:
         result = solve(small_instance, SolverConfig(population_size=8, max_iterations=30, seed=2))
         assert result.best_makespan == pytest.approx(min(observed), abs=0)
 
-    def test_population_stays_feasible_across_generations(self, small_instance):
-        rng = np.random.default_rng(6)
-        config = SolverConfig(population_size=8, max_iterations=0)
-        pop = init_population(3, 8, config, rng, lambda g: genome_fitness(small_instance, g))
-        stack = np.stack([ind.genome.values for ind in pop])
-        fits = np.array([ind.fitness for ind in pop])
-        for _ in range(25):
-            _evolve_generation(small_instance, stack, fits, config, rng)
-            for row in stack:
-                assert check_constraints(row)
+    def test_population_stays_feasible_across_generations(self, small_instance, monkeypatch):
+        # Every genome that can enter the population is scored, so decoded, first.
+        seen = recorded_stacks(monkeypatch, "batch_defuzzify")
+        solve(small_instance, SolverConfig(population_size=8, max_iterations=25, seed=6))
+        assert len(seen) == 1 + 25 + 1
+        for stack in seen:
+            for genome in stack:
+                assert check_constraints(genome)
 
     def test_reaches_oracle_neighborhood_on_small_instance(self):
         inst = generate_instance(GeneratorSpec(3, 10, seed=77))
