@@ -18,7 +18,7 @@ import numpy as np
 
 from gridsched import fuzzy_de, model
 from gridsched.fuzzy_de import RunResult, SolverConfig
-from gridsched.model import Assignment, ConfigurationError, GridInstance
+from gridsched.model import Assignment, ConfigurationError, GridInstance, check_seed
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class GAConfig:
             raise ConfigurationError(f"tournament_size must be >= 1, got {self.tournament_size}")
         if self.max_iterations < 0:
             raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class SAConfig:
             raise ConfigurationError(
                 f"min_temperature must sit in (0, initial_temperature), got {self.min_temperature}"
             )
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,7 @@ class PSOConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be non-negative, got {value}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 def one_point_crossover(

@@ -2,9 +2,9 @@
 
 An experiment is `runs` independent solves of one algorithm on one instance,
 with per-run seeds derived as master_seed + run index.  Aggregates use the
-population standard deviation (divide by N).  Runs are independent, so they
-may execute in a process pool; results are merged in run order and are
-identical to sequential execution.
+population standard deviation (divide by N).  Runs are independent, so the
+runs of every experiment in a batch may execute in one process pool; results
+are merged in run order and are identical to sequential execution.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from gridsched import baselines, fuzzy_de
 from gridsched.baselines import GAConfig, PSOConfig, SAConfig
 from gridsched.fuzzy_de import RunResult, SolverConfig
-from gridsched.model import ConfigurationError, GridInstance
+from gridsched.model import ConfigurationError, GridInstance, check_seed
 
 RUNS_CSV = "runs.csv"
 TRACES_CSV = "traces.csv"
@@ -66,6 +66,12 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
 }
 
 
+def _algorithm(name: str) -> AlgorithmInfo:
+    if name not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
+    return ALGORITHMS[name]
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """A selectable algorithm plus its config; the seed is replaced per run."""
@@ -74,11 +80,7 @@ class SolverSpec:
     config: AnyConfig
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
-        expected = ALGORITHMS[self.algorithm].config_type
+        expected = _algorithm(self.algorithm).config_type
         if not isinstance(self.config, expected):
             raise ConfigurationError(
                 f"algorithm {self.algorithm!r} expects a {expected.__name__}, "
@@ -95,19 +97,12 @@ def make_spec(algorithm: str, **overrides: float | int | None) -> SolverSpec:
 
     Overrides that the chosen algorithm has no field for are ignored.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    info = ALGORITHMS[algorithm]
-    kwargs = {}
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        if name == "seed":
-            kwargs["seed"] = int(value)
-        elif name in info.overrides:
-            kwargs[info.overrides[name]] = value
+    info = _algorithm(algorithm)
+    kwargs = {
+        info.overrides[name]: value
+        for name, value in overrides.items()
+        if value is not None and name in info.overrides
+    }
     return SolverSpec(algorithm=algorithm, config=info.config_type(**kwargs))
 
 
@@ -132,9 +127,59 @@ class StatsSummary:
     per_run_traces: tuple[tuple[float, ...], ...]
 
 
-def _solve_task(args: tuple[GridInstance, SolverSpec, int]) -> RunResult:
-    instance, spec, seed = args
-    return run_solver(instance, spec, seed)
+def _solve_task(task: tuple[GridInstance, SolverSpec, int, int]) -> RunResult:
+    instance, spec, index, seed = task
+    try:
+        return run_solver(instance, spec, seed)
+    except Exception as exc:
+        raise RuntimeError(f"{spec.display} run {index} (seed {seed}) failed: {exc}") from exc
+
+
+def run_experiments(
+    cells: Sequence[tuple[GridInstance, SolverSpec, str]],
+    runs: int,
+    master_seed: int,
+    workers: int = 1,
+) -> list[StatsSummary]:
+    """Run `runs` seeded solves of every (instance, spec, instance name) cell.
+
+    All cells' runs go to one process pool of min(workers, total runs)
+    processes, or run in this process when workers <= 1 or there is one run
+    in all.  Summaries come back in cell order.
+    """
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    check_seed(master_seed)
+    check_seed(master_seed + runs - 1)
+    tasks = [
+        (instance, spec, index, master_seed + index)
+        for instance, spec, _ in cells
+        for index in range(runs)
+    ]
+    if workers <= 1 or len(tasks) <= 1:
+        results = list(map(_solve_task, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_solve_task, tasks))
+    summaries = []
+    for cell_index, (_, spec, name) in enumerate(cells):
+        cell_results = results[cell_index * runs : (cell_index + 1) * runs]
+        makespans = np.array([r.best_makespan for r in cell_results])
+        wall_times = np.array([r.wall_time for r in cell_results])
+        summaries.append(
+            StatsSummary(
+                algorithm=spec.display,
+                instance=name,
+                runs=runs,
+                mean_makespan=float(makespans.mean()),
+                stddev_makespan=float(makespans.std()),
+                mean_wall_time=float(wall_times.mean()),
+                per_run_makespans=tuple(float(x) for x in makespans),
+                per_run_wall_times=tuple(float(x) for x in wall_times),
+                per_run_traces=tuple(r.trace for r in cell_results),
+            )
+        )
+    return summaries
 
 
 def run_experiment(
@@ -146,45 +191,11 @@ def run_experiment(
     workers: int = 1,
 ) -> StatsSummary:
     """Execute `runs` independent seeded solves and aggregate them."""
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    tasks = [(instance, spec, master_seed + index) for index in range(runs)]
-    results: list[RunResult] = []
-    if workers <= 1 or runs == 1:
-        for index, task in enumerate(tasks):
-            try:
-                results.append(_solve_task(task))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"{spec.display} run {index} (seed {task[2]}) failed: {exc}"
-                ) from exc
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
-            futures = [pool.submit(_solve_task, task) for task in tasks]
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"{spec.display} run {index} (seed {tasks[index][2]}) failed: {exc}"
-                    ) from exc
-    makespans = np.array([r.best_makespan for r in results])
-    wall_times = np.array([r.wall_time for r in results])
-    return StatsSummary(
-        algorithm=spec.display,
-        instance=instance_name,
-        runs=runs,
-        mean_makespan=float(makespans.mean()),
-        stddev_makespan=float(makespans.std()),
-        mean_wall_time=float(wall_times.mean()),
-        per_run_makespans=tuple(float(x) for x in makespans),
-        per_run_wall_times=tuple(float(x) for x in wall_times),
-        per_run_traces=tuple(r.trace for r in results),
-    )
+    return run_experiments([(instance, spec, instance_name)], runs, master_seed, workers)[0]
 
 
 def default_workers(env: Mapping[str, str] | None = None) -> int:
-    """Worker count for bench runs; GRIDSCHED_THREADS caps it, 0 means auto.
+    """Worker count for bench runs; GRIDSCHED_THREADS sets it, 0 or unset means auto.
 
     Auto is the number of CPUs this process may run on, where the platform
     reports its affinity mask, and the machine's CPU count elsewhere.

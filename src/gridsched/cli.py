@@ -21,8 +21,6 @@ from gridsched.datasets import (
 )
 from gridsched.model import ConfigurationError, OracleBudgetError
 
-ALGORITHM_ORDER = ("ga", "sa", "fuzzy-pso", "de", "fuzzy-de")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -110,8 +108,7 @@ def _print_schedule(makespan: float, assignment: model.Assignment) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = datasets.load_instance(args.instance)
-    spec = make_spec(args.algo, np=args.np_, f=args.f, cr=args.cr, iters=args.iters,
-                     seed=args.seed)
+    spec = make_spec(args.algo, np=args.np_, f=args.f, cr=args.cr, iters=args.iters)
     result = run_solver(instance, spec, args.seed)
     _print_schedule(result.best_makespan, result.best_assignment)
     if args.trace:
@@ -122,38 +119,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _bench_algorithms(raw: str) -> list[str]:
     if raw.strip() == "all":
-        return list(ALGORITHM_ORDER)
+        return list(ALGORITHMS)
     selected = [token.strip() for token in raw.split(",") if token.strip()]
     if not selected:
         raise ConfigurationError("--algos selected no algorithms")
-    for token in selected:
-        if token not in ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {token!r}; choose from {sorted(ALGORITHMS)}"
-            )
     return selected
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    instances: dict[str, model.GridInstance] = {}
-    if args.fixtures:
-        instances.update(datasets.fixture_suite())
+    instances = datasets.fixture_suite() if args.fixtures else {}
     for path in args.instances:
-        instances[Path(path).stem] = datasets.load_instance(path)
+        name = Path(path).stem
+        if name in instances:
+            raise ConfigurationError(f"two bench instances are named {name!r}; rename one file")
+        instances[name] = datasets.load_instance(path)
     if not instances:
         raise ConfigurationError("bench needs at least one instance (give paths or --fixtures)")
-    algorithms = _bench_algorithms(args.algos)
-    workers = benchstats.default_workers()
-    summaries = []
-    for selector in algorithms:
-        spec = make_spec(selector, np=args.np_, f=args.f, cr=args.cr, iters=args.iters)
-        for name, instance in instances.items():
-            summaries.append(
-                benchstats.run_experiment(
-                    instance, spec, args.runs, args.seed,
-                    instance_name=name, workers=workers,
-                )
-            )
+    specs = [
+        make_spec(selector, np=args.np_, f=args.f, cr=args.cr, iters=args.iters)
+        for selector in _bench_algorithms(args.algos)
+    ]
+    cells = [(instance, spec, name) for spec in specs for name, instance in instances.items()]
+    summaries = benchstats.run_experiments(
+        cells, args.runs, args.seed, benchstats.default_workers()
+    )
     benchstats.export_csv(summaries, args.out)
     display = datasets.FIXTURE_DISPLAY
     print(format_tables(summaries, display))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridsched.model import ConfigurationError, GridInstance, Job, Resource
+from gridsched.model import ConfigurationError, GridInstance, Job, Resource, check_seed
 
 DEFAULT_SPEED_RANGE = (1.0, 10.0)
 DEFAULT_LENGTH_RANGE = (10.0, 100.0)
@@ -69,8 +69,7 @@ class GeneratorSpec:
                 raise ConfigurationError(
                     f"window end range must start above the start range, got {self.window}"
                 )
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 def generate_instance(spec: GeneratorSpec) -> GridInstance:

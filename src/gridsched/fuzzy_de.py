@@ -27,6 +27,7 @@ from gridsched.model import (
     ConfigurationError,
     GridInstance,
     MembershipMatrix,
+    check_seed,
 )
 
 
@@ -59,8 +60,7 @@ class SolverConfig:
             )
         if self.max_iterations < 0:
             raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

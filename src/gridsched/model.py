@@ -32,6 +32,12 @@ class ConfigurationError(ValueError):
     """A solver or generator configuration violates its invariants."""
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that does not fit in 64 unsigned bits."""
+    if not (0 <= seed < 2**64):
+        raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 class MalformedAssignmentError(ValueError):
     """An assignment does not fit the instance (wrong length or bad index)."""
 

@@ -18,6 +18,7 @@ from gridsched.benchstats import (
     make_spec,
     relative_performance,
     run_experiment,
+    run_experiments,
     run_solver,
 )
 from gridsched.fuzzy_de import SolverConfig
@@ -116,6 +117,18 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_instance, quick_spec(), runs=6, master_seed=1, workers=3)
         assert sequential.per_run_makespans == parallel.per_run_makespans
         assert sequential.per_run_traces == parallel.per_run_traces
+
+    def test_batch_matches_one_experiment_per_cell(self, tiny_instance, small_instance):
+        sa = SolverSpec("sa", SAConfig(initial_temperature=5, cooling_rate=0.5,
+                                       steps_per_temperature=5, min_temperature=1.0))
+        cells = [(tiny_instance, quick_spec(), "tiny"), (small_instance, sa, "small"),
+                 (small_instance, quick_spec(), "small")]
+        batch = run_experiments(cells, runs=3, master_seed=4, workers=2)
+        for summary, (instance, spec, name) in zip(batch, cells, strict=True):
+            alone = run_experiment(instance, spec, 3, 4, instance_name=name)
+            assert replace(summary, mean_wall_time=0.0, per_run_wall_times=()) == replace(
+                alone, mean_wall_time=0.0, per_run_wall_times=()
+            )
 
     def test_deterministic_summary(self, tiny_instance):
         a = run_experiment(tiny_instance, quick_spec(), runs=5, master_seed=9)

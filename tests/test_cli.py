@@ -1,6 +1,7 @@
 import csv
 import pytest
 
+from gridsched import benchstats
 from gridsched.benchstats import make_spec, run_solver, write_traces
 from gridsched.cli import main
 from gridsched.datasets import GeneratorSpec, generate_instance, load_instance, save_instance
@@ -75,7 +76,7 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "algorithm,instance,generation,best_makespan"
         assert len(lines) == 1 + 13
-        spec = make_spec("ga", np=8, iters=12, seed=2)
+        spec = make_spec("ga", np=8, iters=12)
         result = run_solver(load_instance(instance_file), spec, 2)
         assert lines[1] == f"GA,r2_j6,0,{result.trace[0]!r}"
         expected = tmp_path / "expected.csv"
@@ -118,6 +119,58 @@ class TestBench:
         with open(out / "runs.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert {row["instance"] for row in rows} == {"r2_j6"}
+
+    def test_repeated_instance_name_is_usage_error(self, instance_file, tmp_path, capsys):
+        same_stem = tmp_path / "other" / instance_file.name
+        same_stem.parent.mkdir()
+        same_stem.write_bytes(instance_file.read_bytes())
+        fixture_stem = tmp_path / "r3_j13.json"
+        fixture_stem.write_bytes(instance_file.read_bytes())
+        out = tmp_path / "results"
+        assert main(["bench", str(instance_file), str(same_stem), "--algos", "fuzzy-de,ga",
+                     "--runs", "2", "--out", str(out)]) == 2
+        assert main(["bench", "--fixtures", str(fixture_stem), "--algos", "ga",
+                     "--runs", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["bench", "--fixtures", "--algos", "fuzzy-de,tabu", "--runs", "2",
+                     "--out", str(out)]) == 2
+        assert "unknown algorithm 'tabu'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, runs", [("-1", "2"), ("18446744073709551614", "3")])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, seed, runs):
+        out = tmp_path / "results"
+        assert main(["bench", "--fixtures", "--algos", "ga", "--runs", runs, "--iters", "1",
+                     "--seed", seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("gridsched: seed must fit")
+        assert not (out / "runs.csv").exists()
+
+    def test_one_pool_per_bench_with_the_sequential_output(self, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class CountingPool(benchstats.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(benchstats, "ProcessPoolExecutor", CountingPool)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GRIDSCHED_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["bench", "--fixtures", "--algos", "fuzzy-de,ga", "--runs", "3",
+                         "--iters", "5", "--out", str(out)]) == 0
+            with open(out / "runs.csv") as handle:
+                runs = list(csv.DictReader(handle))
+            for row in runs:
+                del row["wall_time_s"]
+            outputs[threads] = (runs, (out / "traces.csv").read_bytes())
+        assert pools == [{"max_workers": 2}]
+        assert len(outputs["2"][0]) == 2 * 4 * 3
+        assert outputs["2"] == outputs["1"]
 
 
 class TestOracle:
