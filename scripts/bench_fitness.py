@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Before/after timings of the fitness kernel and of SA's move loop.
+"""Before/after timings of the fitness kernel, of SA's move loop and of the oracle.
 
     python scripts/bench_fitness.py --before OLD/src --after src --repeats 7
 
 Times `model.batch_fitness` at k = 1, 10 and 50 rows on the `r10_j50`
-fixture and on a 20 x 1000 instance, and one SA run at a tenth of its
-default budget (cooling 0.98**10, seed 0) on each fixture.  Each side runs
-in its own subprocess with only its `src` directory on the import path, and
-the sides alternate `--repeats` times; a figure is the median over those
-subprocesses of the median of the timed calls inside one.  Prints JSON.
+fixture and on a 20 x 1000 instance, one SA run at a tenth of its default
+budget (cooling 0.98**10, seed 0) on each fixture, and one
+`model.brute_force_optimum` call on `r3_j13` and on generated 4 x 10 and
+2 x 20 instances (seed 11).  Each side runs in its own subprocess with only
+its `src` directory on the import path, and the sides alternate `--repeats`
+times; a figure is the median over those subprocesses of the median of the
+timed calls inside one.  Prints JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def median_time(fn, calls: int) -> float:
 
 
 def measure() -> dict[str, float]:
-    """One side's figures: kernel microseconds per call, SA milliseconds per run."""
+    """One side's figures: kernel microseconds per call, SA and oracle milliseconds per run."""
     import numpy as np
 
     from gridsched import datasets, model
@@ -60,6 +62,14 @@ def measure() -> dict[str, float]:
     config = SAConfig(cooling_rate=SAConfig().cooling_rate ** 10, seed=0)
     for name, instance in fixtures.items():
         figures[f"sa_div10_ms.{name}"] = median_time(lambda: sa_solve(instance, config), 1) * 1e3
+    oracle_instances = {
+        "r3_j13": fixtures["r3_j13"],
+        "4x10": datasets.generate_instance(GeneratorSpec(4, 10, seed=11)),
+        "2x20": datasets.generate_instance(GeneratorSpec(2, 20, seed=11)),
+    }
+    for name, instance in oracle_instances.items():
+        seconds = median_time(lambda: model.brute_force_optimum(instance), 1)
+        figures[f"oracle_ms.{name}"] = seconds * 1e3
     return figures
 
 

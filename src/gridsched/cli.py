@@ -123,6 +123,9 @@ def _bench_algorithms(raw: str) -> list[str]:
     selected = [token.strip() for token in raw.split(",") if token.strip()]
     if not selected:
         raise ConfigurationError("--algos selected no algorithms")
+    for pos, name in enumerate(selected):
+        if name in selected[:pos]:
+            raise ConfigurationError(f"--algos names {name!r} twice")
     return selected
 
 

@@ -12,6 +12,7 @@ immutable after construction and safe to share between concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,6 +27,13 @@ OVERSHOOT_PENALTY = 10.0
 
 # Largest number of assignments the exhaustive oracle will enumerate.
 DEFAULT_ENUMERATION_BUDGET = 20_000_000
+
+# The oracle scores the assignments of its last h jobs in one vector pass per
+# prefix; h is the largest with resource_count ** h at most this.
+_ORACLE_SUFFIX_ASSIGNMENTS = 1 << 14
+
+# numpy sums a row of at least this many entries pairwise rather than in order.
+_PAIRWISE_SUM_MIN = 8
 
 
 class ConfigurationError(ValueError):
@@ -326,6 +334,20 @@ def defuzzify(matrix: MembershipMatrix) -> Assignment:
     return Assignment(tuple(batch_defuzzify(matrix.values).tolist()))
 
 
+def _load_table(lengths: np.ndarray, n: int) -> np.ndarray:
+    """Per-resource cycle loads of every assignment of `lengths`, shape (n**len, n).
+
+    Row r is the assignment whose digits spell r in base n, first job most
+    significant.  Jobs are added one at a time in job order, so each load is
+    summed in the order batch_fitness's bincount sums it.
+    """
+    table = np.zeros((1, n))
+    unit = np.eye(n)
+    for length in lengths:
+        table = (table[:, None, :] + length * unit).reshape(-1, n)
+    return table
+
+
 def brute_force_optimum(
     instance: GridInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[Assignment, float]:
@@ -333,12 +355,18 @@ def brute_force_optimum(
 
     The objective is the penalized makespan of :func:`batch_fitness`: makespan
     plus OVERSHOOT_PENALTY times the total window overshoot, which is plain
-    makespan when every window is unbounded.  The returned value is that
-    objective.  Ties resolve to the lexicographically smallest assignment
-    vector.  Raises OracleBudgetError when resource_count ** job_count exceeds
-    the budget.  Enumeration runs in chunks with the per-resource loads
-    evaluated as vectorized masked sums, so desk-scale instances (a few
-    million assignments) finish in seconds.
+    makespan when every window is unbounded.  The returned value is
+    batch_fitness of the returned assignment.  Ties resolve to the
+    lexicographically smallest assignment vector.  Raises OracleBudgetError
+    when resource_count ** job_count exceeds the budget.
+
+    Every assignment is scored, without pruning, from two tables of
+    per-resource cycle loads: one for every assignment of the last h jobs
+    (the suffix, with resource_count ** h <= _ORACLE_SUFFIX_ASSIGNMENTS) and
+    one for every assignment of the jobs before them (the prefix).  Each
+    prefix, in id order, is scored against the whole suffix table with
+    batch_fitness's own formula, so with integer lengths the result is bit for
+    bit the lexicographically first minimizer of batch_fitness.
     """
     n = instance.resource_count
     m = instance.job_count
@@ -347,28 +375,40 @@ def brute_force_optimum(
         raise OracleBudgetError(
             f"{n}^{m} = {total} assignments exceed the enumeration budget of {budget}"
         )
-    # Job 0 is the most significant digit: numeric id order == lexicographic
-    # order of the assignment vectors, and argmin returns the first minimum.
-    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    proc = instance.lengths[None, :] / instance.speeds[:, None]
-    starts, ends = instance.start_times, instance.end_times
+    h = 0
+    while h < m and n ** (h + 1) <= _ORACLE_SUFFIX_ASSIGNMENTS:
+        h += 1
+    prefixes = _load_table(instance.lengths[: m - h], n)
+    # Resource-major, so each resource's loads are one contiguous vector.
+    suffix = np.ascontiguousarray(_load_table(instance.lengths[m - h :], n).T)
+    speeds = instance.speeds[:, None]
+    starts = instance.start_times[:, None]
+    ends = instance.end_times[:, None]
+    windowed = bool(np.isfinite(instance.end_times).any())
+    completions = np.empty_like(suffix)
     best_value = math.inf
-    best_id = -1
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = (ids[:, None] // place[None, :]) % n
-        values = np.full(len(ids), -math.inf)
-        overshoot = 0.0
-        for i in range(n):
-            completions_i = starts[i] + ((digits == i) * proc[i]).sum(axis=1)
-            np.maximum(values, completions_i, out=values)
-            if math.isfinite(ends[i]):
-                overshoot = overshoot + np.clip(completions_i - ends[i], 0.0, None)
-        values += OVERSHOOT_PENALTY * overshoot
+    best_id = 0
+    for prefix_id, row in enumerate(prefixes):
+        np.add(row[:, None], suffix, out=completions)
+        completions /= speeds
+        completions += starts
+        values = completions.max(axis=0)
+        if windowed:
+            excess = np.clip(completions - ends, 0.0, None)
+            if n < _PAIRWISE_SUM_MIN:
+                overshoot = functools.reduce(np.add, excess)
+            else:
+                # batch_fitness sums each (k, n) row pairwise; sum the same layout.
+                overshoot = np.ascontiguousarray(excess.T).sum(axis=1)
+            values += OVERSHOOT_PENALTY * overshoot
         pos = int(np.argmin(values))
+        # Strict <: prefixes run in id order, so a tie keeps the earlier vector.
         if values[pos] < best_value:
-            best_value = float(values[pos])
-            best_id = int(ids[pos])
-    digits = (best_id // place) % n
-    return Assignment(tuple(digits.tolist())), best_value
+            best_value = values[pos]
+            best_id = prefix_id * suffix.shape[1] + pos
+    assignee = []
+    for _ in range(m):
+        best_id, digit = divmod(best_id, n)
+        assignee.append(digit)
+    assignee.reverse()
+    return Assignment(tuple(assignee)), float(batch_fitness(instance, np.array([assignee]))[0])

@@ -140,6 +140,13 @@ class TestBench:
         assert "unknown algorithm 'tabu'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_algorithm_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["bench", "--fixtures", "--algos", "ga,ga", "--runs", "2",
+                     "--iters", "2", "--out", str(out)]) == 2
+        assert "--algos names 'ga' twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, runs", [("-1", "2"), ("18446744073709551614", "3")])
     def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, seed, runs):
         out = tmp_path / "results"

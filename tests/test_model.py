@@ -29,6 +29,16 @@ from gridsched.model import (
 from oracles import naive_fitness, naive_makespan
 
 
+def first_minimiser(instance):
+    """(Assignment, value) of the first itertools.product row minimising batch_fitness."""
+    rows = np.array(
+        list(itertools.product(range(instance.resource_count), repeat=instance.job_count))
+    )
+    values = batch_fitness(instance, rows)
+    pos = int(np.argmin(values))
+    return Assignment(tuple(rows[pos].tolist())), float(values[pos])
+
+
 def make_instance(speeds, lengths, starts=None, ends=None):
     starts = starts or [0.0] * len(speeds)
     ends = ends or [math.inf] * len(speeds)
@@ -349,3 +359,58 @@ class TestBruteForce:
         if window[1] == (20.0, 60.0) and seed == 15:
             # The plain-makespan optimum of this instance scores 40.94.
             assert value == pytest.approx(24.2434, abs=1e-4)
+
+    def test_returns_the_first_minimiser_of_batch_fitness(self):
+        inst = generate_instance(GeneratorSpec(2, 12, seed=5))
+        assignment, value = brute_force_optimum(inst)
+        # (0,1,0,1,1,1,1,1,0,1,0,0) ties with it under batch_fitness.
+        assert assignment.assignee == (0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1)
+        assert value == batch_fitness(inst, np.array([assignment.assignee]))[0]
+
+    def test_windowed_value_is_batch_fitness_of_the_assignment(self):
+        inst = generate_instance(GeneratorSpec(3, 7, window=((0, 5), (20, 60)), seed=17))
+        assignment, value = brute_force_optimum(inst)
+        assert value == batch_fitness(inst, np.array([assignment.assignee]))[0]
+
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 8),
+        window=st.sampled_from([None, ((0.0, 5.0), (20.0, 60.0)), ((0.0, 5.0), (10.0, 20.0))]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_first_minimiser_over_every_assignment(self, n, m, window, seed):
+        inst = generate_instance(GeneratorSpec(n, m, window=window, seed=seed))
+        assert brute_force_optimum(inst) == first_minimiser(inst)
+
+    def test_pairwise_overshoot_sum_on_nine_resources(self):
+        # Four equal tight-window resources and five slow unbounded ones: many
+        # assignments tie in exact arithmetic, and numpy's pairwise sum of a
+        # 9-entry overshoot row breaks the tie differently from an in-order sum.
+        inst = make_instance(
+            [3.0] * 4 + [0.01] * 5, [8.0, 9.0, 19.0], ends=[0.5] * 4 + [math.inf] * 5
+        )
+        assignment, value = brute_force_optimum(inst)
+        assert (assignment, value) == first_minimiser(inst)
+        assert assignment.assignee == (0, 2, 3)
+
+    def test_tie_across_prefixes_keeps_the_earlier_vector(self):
+        # 2^16 assignments span several suffix tables; every even split ties.
+        inst = make_instance([1.0, 1.0], [1.0] * 16)
+        assignment, value = brute_force_optimum(inst)
+        assert assignment.assignee == (0,) * 8 + (1,) * 8
+        assert value == 8.0
+
+    @pytest.mark.parametrize("speeds, lengths", [([2.0], [3.0]), ([1.5, 1.0], [4.0, 7.0, 2.0])])
+    def test_one_job_and_fewer_jobs_than_the_suffix(self, speeds, lengths):
+        inst = make_instance(speeds, lengths)
+        assert brute_force_optimum(inst) == first_minimiser(inst)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_integer_lengths_return_the_solvers_value(self, seed):
+        inst = generate_instance(GeneratorSpec(3, 7, seed=seed))
+        rng = np.random.default_rng(seed)
+        inst = make_instance(list(inst.speeds), list(inst.lengths + rng.random(7)))
+        assignment, value = brute_force_optimum(inst)
+        assert value == batch_fitness(inst, np.array([assignment.assignee]))[0]
+        _, minimum = first_minimiser(inst)
+        assert value == pytest.approx(minimum, rel=1e-12)
