@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Before/after timings of the fitness kernel, of SA's move loop and of the oracle.
+"""Before/after timings of the fitness kernel, SA's move loop, a DE generation and the oracle.
 
     python scripts/bench_fitness.py --before OLD/src --after src --repeats 7
 
 Times `model.batch_fitness` at k = 1, 10 and 50 rows on the `r10_j50`
 fixture and on a 20 x 1000 instance, one SA run at a tenth of its default
-budget (cooling 0.98**10, seed 0) on each fixture, and one
-`model.brute_force_optimum` call on `r3_j13` and on generated 4 x 10 and
-2 x 20 instances (seed 11).  Each side runs in its own subprocess with only
-its `src` directory on the import path, and the sides alternate `--repeats`
-times; a figure is the median over those subprocesses of the median of the
-timed calls inside one.  Prints JSON.
+budget (cooling 0.98**10, seed 0) on each fixture, one fuzzy-DE generation
+of `fuzzy_de.evolve` at default settings on `r8_j60` and on the 20 x 1000
+instance, and one `model.brute_force_optimum` call on `r3_j13` and on
+generated 4 x 10 and 2 x 20 instances (seed 11).  Each side runs in its own
+subprocess with only its `src` directory on the import path, and the sides
+alternate `--repeats` times; a figure is the median over those subprocesses
+of the median of the timed samples inside one.
+
+Every sample is timed by perfbench's `refclock.ScaledClock`, so a figure is
+the time on a machine where perfbench's fixed reference task takes
+`refclock.REFERENCE_S`, and drift in the machine's speed cancels.  Prints JSON.
 """
 
 from __future__ import annotations
@@ -21,31 +26,39 @@ import os
 import statistics
 import subprocess
 import sys
-import time
+from pathlib import Path
 
 KERNEL_ROWS = (1, 10, 50)
 # Calls per kernel timing and timings per subprocess.
 KERNEL_CALLS = 200
 SAMPLES = 5
+# Generations per timed evolve call; a figure is one call's time over these.
+DE_GENERATIONS = {"r8_j60": 100, "20x1000": 20}
 
 
-def median_time(fn, calls: int) -> float:
-    samples = []
-    for _ in range(SAMPLES):
-        started = time.perf_counter()
+def median_time(clock, fn, calls: int) -> float:
+    """Median over SAMPLES of the scaled time of `calls` calls of fn, per call."""
+
+    def run():
         for _ in range(calls):
             fn()
-        samples.append((time.perf_counter() - started) / calls)
-    return statistics.median(samples)
+
+    return statistics.median(clock.time(run)[1] / calls for _ in range(SAMPLES))
 
 
 def measure() -> dict[str, float]:
-    """One side's figures: kernel microseconds per call, SA and oracle milliseconds per run."""
+    """One side's figures: kernel microseconds per call, SA, DE generation and oracle ms."""
     import numpy as np
 
-    from gridsched import datasets, model
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from refclock import ScaledClock
+
+    from gridsched import datasets, fuzzy_de, model
     from gridsched.baselines import SAConfig, sa_solve
     from gridsched.datasets import GeneratorSpec
+    from gridsched.fuzzy_de import SolverConfig
+
+    clock = ScaledClock()
 
     fixtures = datasets.fixture_suite()
     instances = {
@@ -57,18 +70,38 @@ def measure() -> dict[str, float]:
         rng = np.random.default_rng(0)
         for k in KERNEL_ROWS:
             rows = rng.integers(0, instance.resource_count, size=(k, instance.job_count))
-            seconds = median_time(lambda: model.batch_fitness(instance, rows), KERNEL_CALLS)
+            seconds = median_time(
+                clock, lambda: model.batch_fitness(instance, rows), KERNEL_CALLS
+            )
             figures[f"batch_fitness_us.{name}.k{k}"] = seconds * 1e6
     config = SAConfig(cooling_rate=SAConfig().cooling_rate ** 10, seed=0)
     for name, instance in fixtures.items():
-        figures[f"sa_div10_ms.{name}"] = median_time(lambda: sa_solve(instance, config), 1) * 1e3
+        figures[f"sa_div10_ms.{name}"] = (
+            median_time(clock, lambda: sa_solve(instance, config), 1) * 1e3
+        )
+    de_instances = {"r8_j60": fixtures["r8_j60"], "20x1000": instances["20x1000"]}
+    for name, instance in de_instances.items():
+        generations = DE_GENERATIONS[name]
+        config = SolverConfig(max_iterations=generations)
+        shape = (config.population_size, instance.resource_count, instance.job_count)
+        initial = model.repair_stack(np.random.default_rng(0).random(shape))
+
+        def run_generations():
+            # One initial scoring rides along with the generations.
+            fuzzy_de.evolve(
+                instance, initial.copy(), config, np.random.default_rng(1),
+                model.repair_stack, model.batch_defuzzify, 0.0,
+            )
+
+        seconds = median_time(clock, run_generations, 1) / generations
+        figures[f"de_generation_ms.{name}"] = seconds * 1e3
     oracle_instances = {
         "r3_j13": fixtures["r3_j13"],
         "4x10": datasets.generate_instance(GeneratorSpec(4, 10, seed=11)),
         "2x20": datasets.generate_instance(GeneratorSpec(2, 20, seed=11)),
     }
     for name, instance in oracle_instances.items():
-        seconds = median_time(lambda: model.brute_force_optimum(instance), 1)
+        seconds = median_time(clock, lambda: model.brute_force_optimum(instance), 1)
         figures[f"oracle_ms.{name}"] = seconds * 1e3
     return figures
 

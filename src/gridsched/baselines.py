@@ -18,7 +18,13 @@ import numpy as np
 
 from gridsched import fuzzy_de, model
 from gridsched.fuzzy_de import RunResult, SolverConfig
-from gridsched.model import Assignment, ConfigurationError, GridInstance, check_seed
+from gridsched.model import (
+    Assignment,
+    ConfigurationError,
+    GridInstance,
+    check_max_iterations,
+    check_seed,
+)
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,7 @@ class GAConfig:
             raise ConfigurationError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
         if self.tournament_size < 1:
             raise ConfigurationError(f"tournament_size must be >= 1, got {self.tournament_size}")
-        if self.max_iterations < 0:
-            raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        check_max_iterations(self.max_iterations)
         check_seed(self.seed)
 
 
@@ -86,8 +91,7 @@ class PSOConfig:
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
             raise ConfigurationError(f"swarm_size must be >= 2, got {self.swarm_size}")
-        if self.max_iterations < 0:
-            raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        check_max_iterations(self.max_iterations)
         for name in ("inertia_weight", "cognitive_coefficient", "social_coefficient"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -199,7 +203,7 @@ def sa_solve(instance: GridInstance, config: SAConfig) -> RunResult:
     speeds = instance.speeds.tolist()
     starts = instance.start_times.tolist()
     ends = instance.end_times.tolist()
-    windowed = bool(np.isfinite(instance.end_times).any())
+    windowed = instance.windowed
 
     def score(completions: list[float]) -> float:
         # batch_fitness's formula; with no overshoot its clip-sum is exactly 0.

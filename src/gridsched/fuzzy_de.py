@@ -11,6 +11,14 @@ selection keeps the strictly better of trial and target.
 DE (baselines.crisp_de_solve) runs the same engine and differs only in its
 genome: a real vector, reflected into range and decoded by floor.  `mutate`
 and `crossover` run the engine's draws on a single target.
+
+The engine builds trials sparsely.  At the default crossover rate a trial
+takes the mutant in about 2 % of its slots, so the mutant is computed only
+at the taken slots and scattered into a copy of the population; the draws
+keep the dense form's order and shape, so every run is bit for bit that of
+dense mutants and np.where.  The crossover uniforms, the take mask and the
+trial stack are allocated once per run and refilled every generation.
+Repair, decoding and scoring stay dense, one call each per generation.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from gridsched.model import (
     ConfigurationError,
     GridInstance,
     MembershipMatrix,
+    check_max_iterations,
     check_seed,
 )
 
@@ -58,8 +67,7 @@ class SolverConfig:
                 f"population_size must be at least 4 so mutation can draw three "
                 f"distinct partners, got {self.population_size}"
             )
-        if self.max_iterations < 0:
-            raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        check_max_iterations(self.max_iterations)
         check_seed(self.seed)
 
 
@@ -86,31 +94,38 @@ class RunResult:
     iterations_run: int
 
 
+def _partners(targets: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """DE/rand/1 partners (base, first, second) of each target, shape (k, 3).
+
+    They are uniform, mutually distinct and distinct from the target: argsort
+    of iid uniforms is a random permutation of the other `size - 1` indices.
+    """
+    order = np.argsort(rng.random((len(targets), size - 1)), axis=1)[:, :3]
+    return order + (order >= targets[:, None])
+
+
 def _mutants(
     genomes: np.ndarray, targets: np.ndarray, scaling_factor: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """DE/rand/1 mutants, one per target row of the (pop, ...) genome stack.
-
-    Each target's base and difference partners are uniform, mutually distinct
-    and distinct from the target: argsort of iid uniforms is a random
-    permutation of the other indices.
-    """
-    order = np.argsort(rng.random((len(targets), len(genomes) - 1)), axis=1)[:, :3]
-    partners = order + (order >= targets[:, None])
+    """Dense DE/rand/1 mutants base + F * (first - second), one per target row."""
+    partners = _partners(targets, len(genomes), rng)
     return genomes[partners[:, 0]] + scaling_factor * (
         genomes[partners[:, 1]] - genomes[partners[:, 2]]
     )
 
 
-def _crossover(
-    genomes: np.ndarray, mutants: np.ndarray, crossover_rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Binomial crossover of (k, ...) target and mutant stacks, one forced slot per row."""
-    k = len(genomes)
-    take_mutant = rng.random(genomes.shape) < crossover_rate
-    forced = rng.integers(0, genomes[0].size, size=k)
-    take_mutant.reshape(k, -1)[np.arange(k), forced] = True
-    return np.where(take_mutant, mutants, genomes)
+def _draw_take(
+    uniforms: np.ndarray, take: np.ndarray, crossover_rate: float, rng: np.random.Generator
+) -> None:
+    """Fill `take`, a (k, ...) mask, with binomial crossover and one forced slot per row.
+
+    `uniforms` is scratch of the same shape for the per-slot draws.
+    """
+    rng.random(out=uniforms)
+    np.less(uniforms, crossover_rate, out=take)
+    k = len(take)
+    forced = rng.integers(0, take[0].size, size=k)
+    take.reshape(k, -1)[np.arange(k), forced] = True
 
 
 def mutate(
@@ -147,7 +162,9 @@ def crossover(
     mutant = np.asarray(mutant)
     if target_values.shape != mutant.shape:
         raise ValueError(f"shape mismatch: target {target_values.shape}, mutant {mutant.shape}")
-    return _crossover(target_values[None], mutant[None], crossover_rate, rng)[0]
+    take = np.empty((1, *mutant.shape), dtype=bool)
+    _draw_take(np.empty(take.shape), take, crossover_rate, rng)
+    return np.where(take[0], mutant, target_values)
 
 
 def evolve(
@@ -164,6 +181,9 @@ def evolve(
     `repair` maps raw trials back onto the genome's domain and `decode` maps
     genomes to assignment rows for model.batch_fitness.  Wall time counts
     from the perf_counter reading `started`.
+
+    Mutants are computed only at the slots crossover takes, on buffers
+    reused every generation (see the module docstring).
     """
     fits = model.batch_fitness(instance, decode(genomes))
     best_index = int(np.argmin(fits))
@@ -171,12 +191,25 @@ def evolve(
     best_genome = genomes[best_index].copy()
     trace = [best_fitness]
 
+    rows = np.arange(len(genomes))
+    cells = genomes[0].size
+    uniforms = np.empty(genomes.shape)
+    take = np.empty(genomes.shape, dtype=bool)
+    trials = np.empty(genomes.shape, dtype=genomes.dtype)
     for _ in range(config.max_iterations):
-        mutants = _mutants(genomes, np.arange(len(genomes)), config.scaling_factor, rng)
-        trials = repair(_crossover(genomes, mutants, config.crossover_rate, rng))
-        trial_fits = model.batch_fitness(instance, decode(trials))
+        # In the flat stack, partner p's copy of row r's slot is (p - r) * cells away.
+        shifts = (_partners(rows, len(genomes), rng) - rows[:, None]) * cells
+        _draw_take(uniforms, take, config.crossover_rate, rng)
+        taken = np.flatnonzero(take)
+        owners = taken // cells
+        flat = genomes.reshape(-1)
+        base, first, second = (flat[taken + shifts[owners, k]] for k in range(3))
+        np.copyto(trials, genomes)
+        trials.reshape(-1)[taken] = base + config.scaling_factor * (first - second)
+        repaired = repair(trials)
+        trial_fits = model.batch_fitness(instance, decode(repaired))
         improved = trial_fits < fits
-        genomes[improved] = trials[improved]
+        genomes[improved] = repaired[improved]
         fits[improved] = trial_fits[improved]
         index = int(np.argmin(fits))
         if fits[index] < best_fitness:

@@ -46,6 +46,12 @@ def check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
+def check_max_iterations(max_iterations: int) -> None:
+    """Reject a negative iteration budget."""
+    if max_iterations < 0:
+        raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
+
+
 class MalformedAssignmentError(ValueError):
     """An assignment does not fit the instance (wrong length or bad index)."""
 
@@ -120,6 +126,7 @@ class GridInstance:
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_windowed", bool(np.isfinite(self._end_times).any()))
 
     @property
     def resource_count(self) -> int:
@@ -144,6 +151,11 @@ class GridInstance:
     @property
     def lengths(self) -> np.ndarray:
         return self._lengths
+
+    @property
+    def windowed(self) -> bool:
+        """True iff some resource's availability window has a finite end."""
+        return self._windowed
 
 
 @dataclass(frozen=True)
@@ -271,6 +283,9 @@ def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
     ).reshape(k, n)
     completions = instance.start_times + cycles / instance.speeds
     makespans = completions.max(axis=1)
+    if not instance.windowed:
+        # Every overshoot is exactly 0.0, so the penalty adds nothing.
+        return makespans
     overshoot = np.clip(completions - instance.end_times, 0.0, None).sum(axis=1)
     return makespans + OVERSHOOT_PENALTY * overshoot
 
@@ -306,9 +321,11 @@ def repair_stack(stack: np.ndarray) -> np.ndarray:
     n = stack.shape[-2]
     sums = stack.sum(axis=-2, keepdims=True)
     dead = sums == 0.0
-    np.divide(stack, sums, out=stack, where=~dead)
     if dead.any():
+        np.divide(stack, sums, out=stack, where=~dead)
         stack[:] = np.where(dead, 1.0 / n, stack)
+    else:
+        np.divide(stack, sums, out=stack)
     return stack
 
 
@@ -384,7 +401,6 @@ def brute_force_optimum(
     speeds = instance.speeds[:, None]
     starts = instance.start_times[:, None]
     ends = instance.end_times[:, None]
-    windowed = bool(np.isfinite(instance.end_times).any())
     completions = np.empty_like(suffix)
     best_value = math.inf
     best_id = 0
@@ -393,7 +409,7 @@ def brute_force_optimum(
         completions /= speeds
         completions += starts
         values = completions.max(axis=0)
-        if windowed:
+        if instance.windowed:
             excess = np.clip(completions - ends, 0.0, None)
             if n < _PAIRWISE_SUM_MIN:
                 overshoot = functools.reduce(np.add, excess)

@@ -77,6 +77,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PSOConfig(inertia_weight=-0.1)
 
+    @pytest.mark.parametrize("config", [SolverConfig, GAConfig, PSOConfig])
+    def test_negative_iteration_budget_rejected_by_one_rule(self, config):
+        with pytest.raises(ConfigurationError, match=r"^max_iterations must be >= 0, got -1$"):
+            config(max_iterations=-1)
+
 
 class TestSharedBehaviors:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -353,14 +358,44 @@ def reference_crisp_de(instance, config):
     return Assignment(tuple(decoded.tolist())), best_fit, tuple(trace), config.max_iterations
 
 
+# Non-integer lengths and speeds, unwindowed.
+_FRACTIONAL = np.random.default_rng(11)
+FRACTIONAL_INSTANCE = GridInstance(
+    resources=tuple(Resource(i, float(_FRACTIONAL.uniform(0.5, 10.0))) for i in range(9)),
+    jobs=tuple(Job(j, float(_FRACTIONAL.uniform(0.1, 100.0))) for j in range(40)),
+)
+
+# (source, seed, SolverConfig overrides); max_iterations defaults to 250.
 DE_IDENTITY_CASES = [
-    *(pytest.param(name, 5, id=name) for name in ("r3_j13", "r5_j100", "r8_j60", "r10_j50")),
-    pytest.param(GeneratorSpec(3, 7, window=WINDOW, seed=15), 5, id="w3x7_s15"),
-    pytest.param(GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3), 5, id="w12x40_s3"),
-    pytest.param(GeneratorSpec(1, 7, seed=13), 5, id="n1"),
-    pytest.param(GeneratorSpec(5, 1, seed=13), 5, id="m1"),
-    pytest.param("r8_j60", 2**64 - 1, id="r8_j60_max_seed"),
+    *(pytest.param(name, 5, {}, id=name) for name in ("r3_j13", "r5_j100", "r8_j60", "r10_j50")),
+    pytest.param(GeneratorSpec(3, 7, window=WINDOW, seed=15), 5, {}, id="w3x7_s15"),
+    pytest.param(GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3), 5, {}, id="w12x40_s3"),
+    pytest.param(GeneratorSpec(1, 7, seed=13), 5, {}, id="n1"),
+    pytest.param(GeneratorSpec(5, 1, seed=13), 5, {}, id="m1"),
+    pytest.param("r8_j60", 2**64 - 1, {}, id="r8_j60_max_seed"),
+    pytest.param("r8_j60", 5, {"crossover_rate": 0.0}, id="r8_j60_cr0"),
+    pytest.param(
+        "r8_j60", 5, {"crossover_rate": 1.0, "scaling_factor": 2.0}, id="r8_j60_cr1_f2"
+    ),
+    # Trials mix target zeros with negative mutant entries, so some columns
+    # clamp to all zeros and repair resets them inside the engine.
+    pytest.param(
+        "r3_j13", 5, {"crossover_rate": 0.5, "scaling_factor": 2.0}, id="r3_j13_cr05_f2"
+    ),
+    pytest.param("r10_j50", 5, {"population_size": 4}, id="r10_j50_pop4"),
+    pytest.param(
+        GeneratorSpec(20, 1000, seed=2014), 5, {"max_iterations": 20}, id="large_20x1000"
+    ),
+    pytest.param(FRACTIONAL_INSTANCE, 5, {}, id="fractional_9x40"),
 ]
+
+
+def identity_instance(source):
+    if isinstance(source, str):
+        return fixture_suite()[source]
+    if isinstance(source, GridInstance):
+        return source
+    return generate_instance(source)
 
 
 class TestDEEngine:
@@ -369,16 +404,30 @@ class TestDEEngine:
         [(fuzzy_de_solve, reference_fuzzy_de), (crisp_de_solve, reference_crisp_de)],
         ids=["fuzzy-de", "de"],
     )
-    @pytest.mark.parametrize("source, seed", DE_IDENTITY_CASES)
-    def test_bit_identical_to_inline_reference(self, solver, reference, source, seed):
-        if isinstance(source, str):
-            instance = fixture_suite()[source]
-        else:
-            instance = generate_instance(source)
-        config = SolverConfig(max_iterations=250, seed=seed)
+    @pytest.mark.parametrize("source, seed, overrides", DE_IDENTITY_CASES)
+    def test_bit_identical_to_inline_reference(self, solver, reference, source, seed, overrides):
+        instance = identity_instance(source)
+        config = SolverConfig(**{"max_iterations": 250, "seed": seed, **overrides})
         result = solver(instance, config)
         got = (result.best_assignment, result.best_makespan, result.trace, result.iterations_run)
         assert got == reference(instance, config)
+
+    def test_repairs_the_full_stack_once_per_generation(self, monkeypatch):
+        instance = fixture_suite()["r3_j13"]
+        original = model.repair_stack
+        shapes, dead = [], []
+
+        def recording(stack):
+            shapes.append(stack.shape)
+            dead.append(bool((np.clip(stack, 0.0, 1.0).sum(axis=-2) == 0.0).any()))
+            return original(stack)
+
+        monkeypatch.setattr(model, "repair_stack", recording)
+        config = SolverConfig(crossover_rate=0.5, scaling_factor=2.0, max_iterations=30, seed=5)
+        fuzzy_de_solve(instance, config)
+        # The initial population, then one whole (pop, n, m) trial stack per generation.
+        assert shapes == [(10, 3, 13)] * 31
+        assert any(dead)
 
 
 class TestCrispDE:

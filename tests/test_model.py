@@ -25,6 +25,7 @@ from gridsched.model import (
     evaluate_makespan,
     processing_time,
     repair,
+    repair_stack,
 )
 from oracles import naive_fitness, naive_makespan
 
@@ -70,6 +71,10 @@ class TestConstruction:
             GridInstance(resources=(Resource(1, 1.0),), jobs=(Job(0, 1.0),))
         with pytest.raises(ValueError):
             GridInstance(resources=(Resource(0, 1.0),), jobs=(Job(2, 1.0),))
+
+    def test_instance_is_windowed_iff_some_window_end_is_finite(self):
+        assert not make_instance([1.0, 2.0], [3.0]).windowed
+        assert make_instance([1.0, 2.0], [3.0], ends=[math.inf, 9.0]).windowed
 
     def test_instance_requires_at_least_one_of_each(self):
         with pytest.raises(ValueError):
@@ -274,6 +279,17 @@ class TestRepair:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericDomainError):
             repair(np.array([[np.inf], [0.0]]))
+
+    @pytest.mark.parametrize("low", [0.0, -2.0], ids=["live", "some_dead"])
+    def test_stack_repair_divides_by_the_clamped_column_sum(self, low):
+        # Bit for bit: each entry over its clamped column's sum, 1/n where that sum is 0.
+        raw = np.random.default_rng(3).uniform(low, 1.0, size=(10, 4, 200))
+        clamped = np.clip(raw, 0.0, 1.0)
+        sums = clamped.sum(axis=1, keepdims=True)
+        dead = sums == 0.0
+        expected = np.where(dead, 0.25, clamped / np.where(dead, 1.0, sums))
+        assert dead.any() == (low < 0)
+        np.testing.assert_array_equal(repair_stack(raw.copy()), expected)
 
     @given(
         hnp.arrays(
