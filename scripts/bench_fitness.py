@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Before/after timings of the fitness kernel, SA's move loop, a DE generation and the oracle.
+"""Before/after timings of the fitness kernel, SA, a DE generation, a PSO run and the oracle.
 
     python scripts/bench_fitness.py --before OLD/src --after src --repeats 7
 
@@ -7,11 +7,15 @@ Times `model.batch_fitness` at k = 1, 10 and 50 rows on the `r10_j50`
 fixture and on a 20 x 1000 instance, one SA run at a tenth of its default
 budget (cooling 0.98**10, seed 0) on each fixture, one fuzzy-DE generation
 of `fuzzy_de.evolve` at default settings on `r8_j60` and on the 20 x 1000
-instance, and one `model.brute_force_optimum` call on `r3_j13` and on
-generated 4 x 10 and 2 x 20 instances (seed 11).  Each side runs in its own
-subprocess with only its `src` directory on the import path, and the sides
-alternate `--repeats` times; a figure is the median over those subprocesses
-of the median of the timed samples inside one.
+instance, one fuzzy-PSO run at default settings but 50 iterations on
+`r8_j60` and 20 on the 20 x 1000 instance, and one
+`model.brute_force_optimum` call on `r3_j13` and on generated 4 x 10 and
+2 x 20 instances (seed 11).  Each side runs in its own subprocess with only
+its `src` directory on the import path, and the sides alternate `--repeats`
+times; a figure is the median over those subprocesses of the median of the
+timed samples inside one.  `pso_minor_faults.*` is the count of minor page
+faults during one more PSO run, from `resource.getrusage(RUSAGE_SELF)` inside
+the side's subprocess.
 
 Every sample is timed by perfbench's `refclock.ScaledClock`, so a figure is
 the time on a machine where perfbench's fixed reference task takes
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -34,6 +39,8 @@ KERNEL_CALLS = 200
 SAMPLES = 5
 # Generations per timed evolve call; a figure is one call's time over these.
 DE_GENERATIONS = {"r8_j60": 100, "20x1000": 20}
+# Iterations of one timed fuzzy-PSO run.
+PSO_ITERATIONS = {"r8_j60": 50, "20x1000": 20}
 
 
 def median_time(clock, fn, calls: int) -> float:
@@ -47,14 +54,14 @@ def median_time(clock, fn, calls: int) -> float:
 
 
 def measure() -> dict[str, float]:
-    """One side's figures: kernel microseconds per call, SA, DE generation and oracle ms."""
+    """One side's figures: kernel us per call, SA, DE generation, PSO run and oracle ms."""
     import numpy as np
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from refclock import ScaledClock
 
     from gridsched import datasets, fuzzy_de, model
-    from gridsched.baselines import SAConfig, sa_solve
+    from gridsched.baselines import PSOConfig, SAConfig, fuzzy_pso_solve, sa_solve
     from gridsched.datasets import GeneratorSpec
     from gridsched.fuzzy_de import SolverConfig
 
@@ -95,6 +102,15 @@ def measure() -> dict[str, float]:
 
         seconds = median_time(clock, run_generations, 1) / generations
         figures[f"de_generation_ms.{name}"] = seconds * 1e3
+    for name, instance in de_instances.items():
+        config = PSOConfig(max_iterations=PSO_ITERATIONS[name])
+        run_swarm = lambda: fuzzy_pso_solve(instance, config)
+        figures[f"pso_run_ms.{name}"] = median_time(clock, run_swarm, 1) * 1e3
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_swarm()
+        figures[f"pso_minor_faults.{name}"] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        )
     oracle_instances = {
         "r3_j13": fixtures["r3_j13"],
         "4x10": datasets.generate_instance(GeneratorSpec(4, 10, seed=11)),

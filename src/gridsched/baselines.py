@@ -5,6 +5,10 @@ the identical objective as the fuzzy DE engine and their results are directly
 comparable.  Default parameters are calibrated so each solver spends roughly
 the same number of fitness evaluations per run as DE at its defaults
 (population 10 x 2500 iterations, about 25 000 evaluations).
+
+Fuzzy PSO updates one (swarm, n, m) stack of positions and one of velocities
+in place; its personal bests and the two scratch stacks of pso_step are
+allocated once per run, so a step allocates no swarm-sized float array.
 """
 
 from __future__ import annotations
@@ -292,19 +296,32 @@ def pso_step(
     gbest: np.ndarray,
     config: PSOConfig,
     rng: np.random.Generator,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One velocity/position update for a (swarm, n, m) stack of matrices.
+    """One velocity/position update for a (swarm, n, m) stack of matrices, in place.
 
-    With zero velocity and positions equal to both bests, particles stay put.
+    `velocities` becomes w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with the
+    float operations in that order, and `positions` becomes repair(x + v).
+    The full cognitive uniforms r1 are drawn before the social ones r2.
+    `scratch` is a (2, swarm, n, m) float64 buffer whose contents are
+    overwritten, so a step allocates no stack-sized float array.  Returns
+    `positions` and `velocities`.  With zero velocity and positions equal to
+    both bests, particles stay put.
     """
-    r_cognitive = rng.random(positions.shape)
-    r_social = rng.random(positions.shape)
-    velocities = (
-        config.inertia_weight * velocities
-        + config.cognitive_coefficient * r_cognitive * (pbest - positions)
-        + config.social_coefficient * r_social * (gbest[None, :, :] - positions)
-    )
-    positions = model.repair_stack(positions + velocities)
+    terms, diffs = scratch
+    rng.random(out=terms)
+    terms *= config.cognitive_coefficient
+    np.subtract(pbest, positions, out=diffs)
+    terms *= diffs
+    velocities *= config.inertia_weight
+    velocities += terms
+    rng.random(out=terms)
+    terms *= config.social_coefficient
+    np.subtract(gbest, positions, out=diffs)
+    terms *= diffs
+    velocities += terms
+    positions += velocities
+    model.repair_stack(positions)
     return positions, velocities
 
 
@@ -320,16 +337,19 @@ def fuzzy_pso_solve(instance: GridInstance, config: PSOConfig) -> RunResult:
     fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
     pbest = positions.copy()
     pbest_fits = fits.copy()
+    scratch = np.empty((2, *positions.shape))
     g = int(np.argmin(pbest_fits))
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fits[g])
     trace = [gbest_fit]
 
     for _ in range(config.max_iterations):
-        positions, velocities = pso_step(positions, velocities, pbest, gbest, config, rng)
+        pso_step(positions, velocities, pbest, gbest, config, rng, scratch)
         fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
         improved = fits < pbest_fits
-        pbest[improved] = positions[improved]
+        # Row by row: copies only the improved particles, through no temporary.
+        for i in np.flatnonzero(improved):
+            pbest[i] = positions[i]
         pbest_fits[improved] = fits[improved]
         g = int(np.argmin(pbest_fits))
         if pbest_fits[g] < gbest_fit:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,66 @@ DE_IDENTITY_CASES = [
 ]
 
 
+def reference_fuzzy_pso(instance, config):
+    """Fuzzy PSO with a fresh-array velocity expression and a boolean-mask pbest update."""
+    rng = np.random.default_rng(config.seed)
+    n, m = instance.resource_count, instance.job_count
+    w, c1, c2 = config.inertia_weight, config.cognitive_coefficient, config.social_coefficient
+
+    positions = model.repair_stack(rng.random((config.swarm_size, n, m)))
+    velocities = np.zeros_like(positions)
+    fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
+    pbest = positions.copy()
+    pbest_fits = fits.copy()
+    g = int(np.argmin(pbest_fits))
+    gbest = pbest[g].copy()
+    gbest_fit = float(pbest_fits[g])
+    trace = [gbest_fit]
+
+    for _ in range(config.max_iterations):
+        r_cognitive = rng.random(positions.shape)
+        r_social = rng.random(positions.shape)
+        velocities = (
+            w * velocities
+            + c1 * r_cognitive * (pbest - positions)
+            + c2 * r_social * (gbest[None, :, :] - positions)
+        )
+        positions = model.repair_stack(positions + velocities)
+        fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
+        improved = fits < pbest_fits
+        pbest[improved] = positions[improved]
+        pbest_fits[improved] = fits[improved]
+        g = int(np.argmin(pbest_fits))
+        if pbest_fits[g] < gbest_fit:
+            gbest_fit = float(pbest_fits[g])
+            gbest = pbest[g].copy()
+        trace.append(gbest_fit)
+
+    assignment = model.defuzzify(MembershipMatrix(gbest))
+    return assignment, gbest_fit, tuple(trace), config.max_iterations
+
+
+# (source, seed, PSOConfig overrides); max_iterations defaults to 100.
+PSO_IDENTITY_CASES = [
+    *(pytest.param(name, 5, {}, id=name) for name in ("r3_j13", "r5_j100", "r8_j60", "r10_j50")),
+    pytest.param(
+        GeneratorSpec(20, 1000, seed=2014), 5, {"max_iterations": 20}, id="large_20x1000"
+    ),
+    pytest.param(GeneratorSpec(3, 7, window=WINDOW, seed=15), 5, {}, id="w3x7_s15"),
+    pytest.param(GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3), 5, {}, id="w12x40_s3"),
+    pytest.param(GeneratorSpec(1, 7, seed=13), 5, {}, id="n1"),
+    pytest.param(GeneratorSpec(5, 1, seed=13), 5, {}, id="m1"),
+    pytest.param("r8_j60", 2**64 - 1, {}, id="r8_j60_max_seed"),
+    pytest.param("r10_j50", 5, {"swarm_size": 2}, id="r10_j50_swarm2"),
+    pytest.param(
+        "r8_j60",
+        5,
+        {"inertia_weight": 0.0, "cognitive_coefficient": 3.0, "social_coefficient": 3.0},
+        id="r8_j60_w0_c3",
+    ),
+]
+
+
 def identity_instance(source):
     if isinstance(source, str):
         return fixture_suite()[source]
@@ -466,7 +527,8 @@ class TestFuzzyPSO:
         gbest = positions[1].copy()
         # Only particle 1 sits exactly on both bests; it must not move.
         new_pos, new_vel = pso_step(
-            positions.copy(), velocities, pbest, gbest, PSOConfig(swarm_size=3), np.random.default_rng(5)
+            positions.copy(), velocities, pbest, gbest, PSOConfig(swarm_size=3), np.random.default_rng(5),
+            scratch=np.empty((2, 3, 2, 4)),
         )
         np.testing.assert_allclose(new_pos[1], positions[1], atol=1e-12)
         np.testing.assert_allclose(new_vel[1], 0.0, atol=1e-15)
@@ -482,9 +544,79 @@ class TestFuzzyPSO:
         velocities = rng.normal(size=(5, 3, 6))
         pbest = model.repair_stack(rng.random((5, 3, 6)))
         gbest = model.repair_stack(rng.random((1, 3, 6)))[0]
-        new_pos, _ = pso_step(positions, velocities, pbest, gbest, PSOConfig(), rng)
+        scratch = np.empty((2, 5, 3, 6))
+        new_pos, _ = pso_step(positions, velocities, pbest, gbest, PSOConfig(), rng, scratch)
         for matrix in new_pos:
             assert check_constraints(matrix)
+
+    @pytest.mark.parametrize("source, seed, overrides", PSO_IDENTITY_CASES)
+    def test_bit_identical_to_inline_reference(self, source, seed, overrides):
+        instance = identity_instance(source)
+        config = PSOConfig(**{"max_iterations": 100, "seed": seed, **overrides})
+        result = fuzzy_pso_solve(instance, config)
+        got = (result.best_assignment, result.best_makespan, result.trace, result.iterations_run)
+        assert got == reference_fuzzy_pso(instance, config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PSOConfig(),
+            PSOConfig(inertia_weight=0.0, cognitive_coefficient=3.0, social_coefficient=3.0),
+        ],
+        ids=["default", "w0_c3"],
+    )
+    def test_step_equals_fresh_array_expression_bit_for_bit(self, config):
+        # RunResults only see argmax flips; this pins every float of the step.
+        rng = np.random.default_rng(9)
+        shape = (6, 4, 30)
+        positions = model.repair_stack(rng.random(shape))
+        velocities = rng.normal(size=shape)
+        pbest = model.repair_stack(rng.random(shape))
+        gbest = pbest[2].copy()
+        draws = np.random.default_rng(4)
+        r_cognitive, r_social = draws.random(shape), draws.random(shape)
+        expected_vel = (
+            config.inertia_weight * velocities
+            + config.cognitive_coefficient * r_cognitive * (pbest - positions)
+            + config.social_coefficient * r_social * (gbest[None, :, :] - positions)
+        )
+        expected_pos = model.repair_stack(positions + expected_vel)
+        new_pos, new_vel = pso_step(
+            positions, velocities, pbest, gbest, config, np.random.default_rng(4),
+            np.empty((2, *shape)),
+        )
+        np.testing.assert_array_equal(new_vel, expected_vel)
+        np.testing.assert_array_equal(new_pos, expected_pos)
+
+    def test_step_allocates_no_stack_sized_temporary(self):
+        rng = np.random.default_rng(0)
+        shape = (50, 20, 1000)
+        positions = model.repair_stack(rng.random(shape))
+        velocities = rng.normal(size=shape)
+        pbest = model.repair_stack(rng.random(shape))
+        gbest = pbest[0].copy()
+        scratch = np.empty((2, *shape))
+        tracemalloc.start()
+        try:
+            pso_step(positions, velocities, pbest, gbest, PSOConfig(), rng, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < positions.nbytes / 4
+
+    def test_repairs_the_full_stack_once_per_step(self, monkeypatch):
+        instance = fixture_suite()["r3_j13"]
+        original = model.repair_stack
+        shapes = []
+
+        def recording(stack):
+            shapes.append(stack.shape)
+            return original(stack)
+
+        monkeypatch.setattr(model, "repair_stack", recording)
+        fuzzy_pso_solve(instance, PSOConfig(swarm_size=7, max_iterations=30, seed=5))
+        # The initial swarm, then the whole (swarm, n, m) stack once per step.
+        assert shapes == [(7, 3, 13)] * 31
 
     def test_reaches_oracle_neighborhood(self, tiny_instance):
         _, optimum = brute_force_optimum(tiny_instance)
