@@ -54,6 +54,10 @@ SOLVERS = {
     ),
 }
 
+WINDOW = ((0.0, 5.0), (20.0, 60.0))
+# Windows that most resources overrun, so the overshoot sums many terms.
+TIGHT_WINDOW = ((0.0, 5.0), (10.0, 20.0))
+
 
 class TestConfigValidation:
     def test_ga_bounds(self):
@@ -127,6 +131,76 @@ class TestSharedBehaviors:
         assert result.best_makespan == pytest.approx(direct, rel=1e-9)
 
 
+def reference_ga(instance, config):
+    """GA with its own inline best-so-far fitness, genome and trace."""
+    rng = np.random.default_rng(config.seed)
+    n, m = instance.resource_count, instance.job_count
+    pop_size = config.population_size
+
+    population = rng.integers(0, n, size=(pop_size, m))
+    fits = model.batch_fitness(instance, population)
+    best_index = int(np.argmin(fits))
+    best_fit = float(fits[best_index])
+    best_vec = population[best_index].copy()
+    trace = [best_fit]
+
+    for _ in range(config.max_iterations):
+        contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
+        winners = contenders[np.arange(pop_size), np.argmin(fits[contenders], axis=1)]
+        children = population[winners].copy()
+        pairs = pop_size // 2
+        if m >= 2 and pairs:
+            crossed = rng.random(pairs) < config.crossover_rate
+            points = rng.integers(1, m, size=pairs)
+            first = children[0 : 2 * pairs : 2].copy()
+            second = children[1 : 2 * pairs : 2].copy()
+            children[0 : 2 * pairs : 2], children[1 : 2 * pairs : 2] = one_point_crossover(
+                first, second, points, crossed
+            )
+        mutating = rng.random(pop_size) < config.mutation_rate
+        slots = rng.integers(0, m, size=pop_size)
+        moves = rng.integers(0, n, size=pop_size)
+        rows = np.nonzero(mutating)[0]
+        children[rows, slots[rows]] = moves[rows]
+        child_fits = model.batch_fitness(instance, children)
+        worst = int(np.argmax(child_fits))
+        children[worst] = best_vec
+        child_fits[worst] = best_fit
+        population, fits = children, child_fits
+        index = int(np.argmin(fits))
+        if fits[index] < best_fit:
+            best_fit = float(fits[index])
+            best_vec = population[index].copy()
+        trace.append(best_fit)
+
+    return Assignment(tuple(best_vec.tolist())), best_fit, tuple(trace), config.max_iterations
+
+
+GA_SOURCES = {
+    **{name: name for name in ("r3_j13", "r5_j100", "r8_j60", "r10_j50")},
+    "n1": GeneratorSpec(1, 7, seed=13),
+    "m1": GeneratorSpec(5, 1, seed=13),
+    "w3x7_s15": GeneratorSpec(3, 7, window=WINDOW, seed=15),
+}
+
+# (source, seed, GAConfig overrides); max_iterations defaults to 60.
+GA_IDENTITY_CASES = [
+    *(
+        pytest.param(
+            source, seed, {"max_iterations": iterations}, id=f"{name}_s{label}_i{iterations}"
+        )
+        for name, source in GA_SOURCES.items()
+        for seed, label in ((0, "0"), (2**64 - 1, "max"))
+        for iterations in (0, 1, 60)
+    ),
+    # An odd population leaves one child without a crossover partner.
+    pytest.param("r8_j60", 0, {"population_size": 7}, id="r8_j60_pop7"),
+    pytest.param("r8_j60", 0, {"population_size": 2}, id="r8_j60_pop2"),
+    pytest.param("r8_j60", 0, {"crossover_rate": 0.0}, id="r8_j60_cx0"),
+    pytest.param("r8_j60", 0, {"mutation_rate": 0.0}, id="r8_j60_mut0"),
+]
+
+
 class TestGA:
     def test_one_point_crossover_swaps_both_tails(self):
         first = np.array([[1, 1, 1, 1], [5, 5, 5, 5]])
@@ -145,6 +219,14 @@ class TestGA:
         child_a, child_b = one_point_crossover(first, second, points, np.ones(10, dtype=bool))
         # Every gene pair is preserved, just redistributed between children.
         np.testing.assert_array_equal(child_a + child_b, first + second)
+
+    @pytest.mark.parametrize("source, seed, overrides", GA_IDENTITY_CASES)
+    def test_bit_identical_to_inline_reference(self, source, seed, overrides):
+        instance = identity_instance(source)
+        config = GAConfig(**{"max_iterations": 60, "seed": seed, **overrides})
+        result = ga_solve(instance, config)
+        got = (result.best_assignment, result.best_makespan, result.trace, result.iterations_run)
+        assert got == reference_ga(instance, config)
 
     def test_reaches_oracle_neighborhood(self, tiny_instance):
         _, optimum = brute_force_optimum(tiny_instance)
@@ -192,9 +274,6 @@ def reference_sa(instance, config):
     return Assignment(tuple(best_vec.tolist())), best_fit, tuple(trace), levels
 
 
-WINDOW = ((0.0, 5.0), (20.0, 60.0))
-# Windows that most resources overrun, so the overshoot sums many terms.
-TIGHT_WINDOW = ((0.0, 5.0), (10.0, 20.0))
 # Every instance has integer lengths.  With n >= 8 numpy sums the overshoot
 # pairwise, where a plain sequential sum would differ in the last bit.
 SA_IDENTITY_CASES = [
