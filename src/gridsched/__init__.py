@@ -4,14 +4,10 @@ from gridsched.model import (
     Assignment,
     GridInstance,
     Job,
-    MakespanReport,
     MembershipMatrix,
     Resource,
     brute_force_optimum,
     check_constraints,
-    defuzzify,
-    evaluate_makespan,
-    processing_time,
     repair,
 )
 
@@ -21,14 +17,10 @@ __all__ = [
     "Assignment",
     "GridInstance",
     "Job",
-    "MakespanReport",
     "MembershipMatrix",
     "Resource",
     "brute_force_optimum",
     "check_constraints",
-    "defuzzify",
-    "evaluate_makespan",
-    "processing_time",
     "repair",
     "__version__",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 from gridsched import fuzzy_de, model
 from gridsched.fuzzy_de import RunResult, SolverConfig
 from gridsched.model import (
-    Assignment,
     ConfigurationError,
     GridInstance,
     check_max_iterations,
@@ -131,10 +130,7 @@ def ga_solve(instance: GridInstance, config: GAConfig) -> RunResult:
 
     population = rng.integers(0, n, size=(pop_size, m))
     fits = model.batch_fitness(instance, population)
-    best_index = int(np.argmin(fits))
-    best_fit = float(fits[best_index])
-    best_vec = population[best_index].copy()
-    trace = [best_fit]
+    best = fuzzy_de._Best(fits, population, started)
 
     for _ in range(config.max_iterations):
         contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
@@ -157,22 +153,12 @@ def ga_solve(instance: GridInstance, config: GAConfig) -> RunResult:
         children[rows, slots[rows]] = moves[rows]
         child_fits = model.batch_fitness(instance, children)
         worst = int(np.argmax(child_fits))
-        children[worst] = best_vec
-        child_fits[worst] = best_fit
+        children[worst] = best.genome
+        child_fits[worst] = best.fitness
         population, fits = children, child_fits
-        index = int(np.argmin(fits))
-        if fits[index] < best_fit:
-            best_fit = float(fits[index])
-            best_vec = population[index].copy()
-        trace.append(best_fit)
+        best.update(fits, population)
 
-    return RunResult(
-        best_assignment=Assignment(tuple(best_vec.tolist())),
-        best_makespan=best_fit,
-        trace=tuple(trace),
-        wall_time=time.perf_counter() - started,
-        iterations_run=config.max_iterations,
-    )
+    return best.result(best.genome.tolist(), config.max_iterations)
 
 
 def sa_solve(instance: GridInstance, config: SAConfig) -> RunResult:
@@ -196,12 +182,11 @@ def sa_solve(instance: GridInstance, config: SAConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
     n, m = instance.resource_count, instance.job_count
 
-    initial = rng.integers(0, n, size=m)
-    fit = float(model.batch_fitness(instance, initial[None, :])[0])
-    state = initial.tolist()
+    initial = rng.integers(0, n, size=(1, m))
+    best = fuzzy_de._Best(model.batch_fitness(instance, initial), initial, started)
+    state = initial[0].tolist()
     best_vec = list(state)
-    best_fit = fit
-    trace = [best_fit]
+    best_fit = best.fitness
 
     lengths = instance.lengths.tolist()
     speeds = instance.speeds.tolist()
@@ -252,15 +237,9 @@ def sa_solve(instance: GridInstance, config: SAConfig) -> RunResult:
                 else:
                     completions[src], completions[dst] = src_done, dst_done
         temperature *= config.cooling_rate
-        trace.append(best_fit)
+        best.trace.append(best_fit)
 
-    return RunResult(
-        best_assignment=Assignment(tuple(best_vec)),
-        best_makespan=best_fit,
-        trace=tuple(trace),
-        wall_time=time.perf_counter() - started,
-        iterations_run=levels,
-    )
+    return best.result(best_vec, levels)
 
 
 def reflect_positions(vectors: np.ndarray, resource_count: int) -> np.ndarray:
@@ -338,30 +317,17 @@ def fuzzy_pso_solve(instance: GridInstance, config: PSOConfig) -> RunResult:
     pbest = positions.copy()
     pbest_fits = fits.copy()
     scratch = np.empty((2, *positions.shape))
-    g = int(np.argmin(pbest_fits))
-    gbest = pbest[g].copy()
-    gbest_fit = float(pbest_fits[g])
-    trace = [gbest_fit]
+    best = fuzzy_de._Best(pbest_fits, pbest, started)
 
     for _ in range(config.max_iterations):
-        pso_step(positions, velocities, pbest, gbest, config, rng, scratch)
+        pso_step(positions, velocities, pbest, best.genome, config, rng, scratch)
         fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
         improved = fits < pbest_fits
         # Row by row: copies only the improved particles, through no temporary.
         for i in np.flatnonzero(improved):
             pbest[i] = positions[i]
         pbest_fits[improved] = fits[improved]
-        g = int(np.argmin(pbest_fits))
-        if pbest_fits[g] < gbest_fit:
-            gbest_fit = float(pbest_fits[g])
-            gbest = pbest[g].copy()
-        trace.append(gbest_fit)
+        best.update(pbest_fits, pbest)
 
-    assignee = model.batch_defuzzify(gbest[None, :, :])[0]
-    return RunResult(
-        best_assignment=Assignment(tuple(assignee.tolist())),
-        best_makespan=gbest_fit,
-        trace=tuple(trace),
-        wall_time=time.perf_counter() - started,
-        iterations_run=config.max_iterations,
-    )
+    assignee = model.batch_defuzzify(best.genome[None])[0]
+    return best.result(assignee.tolist(), config.max_iterations)

@@ -1,9 +1,9 @@
 """Domain model for scheduling independent jobs on heterogeneous grid resources.
 
-Holds the problem types (resources, jobs, instances), crisp schedules and their
-makespan evaluation, the fuzzy membership-matrix encoding with its constraint
-check and repair, the shared fitness function every solver routes through, and
-an exhaustive enumeration oracle for small instances that minimizes the same
+Holds the problem types (resources, jobs, instances), crisp schedules, the
+fuzzy membership-matrix encoding with its constraint check, repair and argmax
+decoding, the shared fitness function that scores every schedule, and an
+exhaustive enumeration oracle for small instances that minimizes the same
 penalized objective.
 
 All operations are pure functions of their inputs; every value type is
@@ -209,20 +209,6 @@ class MembershipMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class MakespanReport:
-    """Per-resource completion times, their maximum, and window feasibility."""
-
-    per_resource_completion: tuple[float, ...]
-    makespan: float
-    feasible: bool
-
-
-def processing_time(job: Job, resource: Resource) -> float:
-    """Time for one resource to run one job: cycles divided by cycles-per-time."""
-    return job.length / resource.speed
-
-
 def _validated_assignee(instance: GridInstance, assignment: Assignment) -> np.ndarray:
     a = assignment.to_array()
     if len(a) != instance.job_count:
@@ -234,33 +220,6 @@ def _validated_assignee(instance: GridInstance, assignment: Assignment) -> np.nd
             f"resource index out of range for {instance.resource_count} resources"
         )
     return a
-
-
-def _completions(instance: GridInstance, assignee: np.ndarray) -> np.ndarray:
-    n = instance.resource_count
-    cycles = np.bincount(assignee, weights=instance.lengths, minlength=n)
-    return instance.start_times + cycles / instance.speeds
-
-
-def evaluate_makespan(instance: GridInstance, assignment: Assignment) -> MakespanReport:
-    """Evaluate a crisp schedule.
-
-    Each resource finishes at its start time plus the summed processing time
-    of the jobs assigned to it; a resource with no jobs just contributes its
-    start time.  The makespan is the maximum completion over all resources.
-    The schedule is feasible when every loaded resource finishes inside its
-    availability window.
-    """
-    a = _validated_assignee(instance, assignment)
-    completions = _completions(instance, a)
-    counts = np.bincount(a, minlength=instance.resource_count)
-    loaded = counts > 0
-    feasible = bool(np.all(completions[loaded] <= instance.end_times[loaded]))
-    return MakespanReport(
-        per_resource_completion=tuple(float(c) for c in completions),
-        makespan=float(completions.max()),
-        feasible=feasible,
-    )
 
 
 def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
@@ -344,11 +303,6 @@ def batch_defuzzify(stack: np.ndarray) -> np.ndarray:
     the within-column ordering of the membership values.
     """
     return np.argmax(stack, axis=-2)
-
-
-def defuzzify(matrix: MembershipMatrix) -> Assignment:
-    """Decode a membership matrix to the crisp schedule of per-job argmax rows."""
-    return Assignment(tuple(batch_defuzzify(matrix.values).tolist()))
 
 
 def _load_table(lengths: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,6 @@ from gridsched.model import (
     ConfigurationError,
     GridInstance,
     Job,
-    MembershipMatrix,
     Resource,
     brute_force_optimum,
     check_constraints,
@@ -129,6 +129,28 @@ class TestSharedBehaviors:
         # Reported best must be reachable through the shared path as well.
         direct = model.assignment_fitness(small_instance, result.best_assignment)
         assert result.best_makespan == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("zero_budget", [False, True], ids=["test_budget", "zero_budget"])
+    @pytest.mark.parametrize(
+        "source",
+        ["r3_j13", GeneratorSpec(3, 7, window=WINDOW, seed=15)],
+        ids=["r3_j13", "w3x7_s15"],
+    )
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_run_result_contract(self, name, source, zero_budget):
+        instance = identity_instance(source)
+        solver, make_config = SOLVERS[name]
+        config = make_config(seed=3)
+        if zero_budget:
+            # SA has no iteration budget; its shortest run is one temperature level.
+            least = {"min_temperature": 9.5} if name == "sa" else {"max_iterations": 0}
+            config = dataclasses.replace(config, **least)
+        result = solver(instance, config)
+        if zero_budget:
+            assert result.iterations_run == (1 if name == "sa" else 0)
+        assert len(result.trace) == result.iterations_run + 1
+        assert result.trace[-1] == result.best_makespan
+        assert result.best_makespan == model.assignment_fitness(instance, result.best_assignment)
 
 
 def reference_ga(instance, config):
@@ -396,7 +418,7 @@ def reference_fuzzy_de(instance, config):
             best_genome = stack[index].copy()
         trace.append(best_fitness)
 
-    assignment = model.defuzzify(MembershipMatrix(best_genome))
+    assignment = Assignment(tuple(model.batch_defuzzify(best_genome).tolist()))
     return assignment, best_fitness, tuple(trace), config.max_iterations
 
 
@@ -505,7 +527,7 @@ def reference_fuzzy_pso(instance, config):
             gbest = pbest[g].copy()
         trace.append(gbest_fit)
 
-    assignment = model.defuzzify(MembershipMatrix(gbest))
+    assignment = Assignment(tuple(model.batch_defuzzify(gbest).tolist()))
     return assignment, gbest_fit, tuple(trace), config.max_iterations
 
 

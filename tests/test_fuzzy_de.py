@@ -15,10 +15,10 @@ from gridsched.fuzzy_de import (
     solve,
 )
 from gridsched.model import (
+    Assignment,
     ConfigurationError,
     GridInstance,
     Job,
-    MembershipMatrix,
     Resource,
     brute_force_optimum,
     check_constraints,
@@ -84,7 +84,9 @@ class TestInitialPopulation:
         for genome in stack:
             assert check_constraints(genome)
         scores = [
-            model.assignment_fitness(small_instance, model.defuzzify(MembershipMatrix(genome)))
+            model.assignment_fitness(
+                small_instance, Assignment(tuple(model.batch_defuzzify(genome).tolist()))
+            )
             for genome in stack
         ]
         assert fits.tolist() == scores

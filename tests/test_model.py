@@ -18,12 +18,10 @@ from gridsched.model import (
     OracleBudgetError,
     Resource,
     assignment_fitness,
+    batch_defuzzify,
     batch_fitness,
     brute_force_optimum,
     check_constraints,
-    defuzzify,
-    evaluate_makespan,
-    processing_time,
     repair,
     repair_stack,
 )
@@ -96,79 +94,45 @@ class TestConstruction:
             matrix.values[0, 0] = 1.0
 
 
-class TestProcessingTime:
-    def test_examples(self):
-        assert processing_time(Job(0, 10.0), Resource(0, 2.0)) == 5.0
-        assert processing_time(Job(0, 7.0), Resource(0, 4.0)) == 1.75
-
-    @given(st.floats(min_value=1e-6, max_value=1e9, allow_nan=False))
-    def test_unit_speed_is_identity(self, length):
-        assert processing_time(Job(0, length), Resource(0, 1.0)) == length
-
-
-class TestEvaluateMakespan:
-    def test_single_resource_sums_lengths(self):
-        inst = make_instance([1.0], [3.0, 4.0])
-        report = evaluate_makespan(inst, Assignment((0, 0)))
-        assert report.makespan == 7.0
-        assert report.feasible
+class TestFitness:
+    @pytest.mark.parametrize(
+        "speed, lengths, expected", [(1.0, [3.0, 4.0], 7.0), (4.0, [6.0, 10.0, 8.0], 6.0)]
+    )
+    def test_single_resource_equals_total_over_speed(self, speed, lengths, expected):
+        inst = make_instance([speed], lengths)
+        assert assignment_fitness(inst, Assignment((0,) * len(lengths))) == expected
 
     def test_two_resources_example(self, two_speed_instance):
-        report = evaluate_makespan(two_speed_instance, Assignment((0, 1, 1)))
-        assert report.per_resource_completion == (2.0, 5.0)
-        assert report.makespan == 5.0
+        assert assignment_fitness(two_speed_instance, Assignment((0, 1, 1))) == 5.0
 
-    def test_matches_independent_evaluation_on_fixture(self):
-        inst = fixture_suite()["r3_j13"]
-        rng = np.random.default_rng(2024)
-        assignee = tuple(int(x) for x in rng.integers(0, inst.resource_count, inst.job_count))
-        report = evaluate_makespan(inst, Assignment(assignee))
-        assert report.makespan == pytest.approx(naive_makespan(inst, assignee), rel=1e-12)
-
-    def test_rejects_malformed_assignments(self, two_speed_instance):
+    @pytest.mark.parametrize(
+        "assignee",
+        [(0, 1), (0, 1, 1, 0), (0, 1, 2), (5, 0, 0)],
+        ids=["short", "long", "index_eq_count", "index_past_count"],
+    )
+    def test_rejects_malformed_assignments(self, two_speed_instance, assignee):
         with pytest.raises(MalformedAssignmentError):
-            evaluate_makespan(two_speed_instance, Assignment((0, 1)))
-        with pytest.raises(MalformedAssignmentError):
-            evaluate_makespan(two_speed_instance, Assignment((0, 1, 2)))
+            assignment_fitness(two_speed_instance, Assignment(assignee))
 
     def test_idle_resource_contributes_start_time(self):
         inst = make_instance([1.0, 1.0], [1.0], starts=[9.0, 0.0])
-        report = evaluate_makespan(inst, Assignment((1,)))
-        assert report.per_resource_completion == (9.0, 1.0)
-        assert report.makespan == 9.0
-
-    def test_window_overrun_marks_infeasible(self):
-        inst = make_instance([1.0], [12.0], ends=[10.0])
-        report = evaluate_makespan(inst, Assignment((0,)))
-        assert not report.feasible
-        assert report.makespan == 12.0
+        assert assignment_fitness(inst, Assignment((1,))) == 9.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12))
     def test_makespan_dominates_single_job_times(self, seed, n, m):
         inst = generate_instance(GeneratorSpec(n, m, seed=seed))
         rng = np.random.default_rng(seed)
         assignee = tuple(int(x) for x in rng.integers(0, n, m))
-        report = evaluate_makespan(inst, Assignment(assignee))
-        per_job = max(
-            processing_time(inst.jobs[j], inst.resources[r]) for j, r in enumerate(assignee)
-        )
-        assert report.makespan >= per_job - 1e-12
+        fit = assignment_fitness(inst, Assignment(assignee))
+        per_job = max(inst.lengths[j] / inst.speeds[r] for j, r in enumerate(assignee))
+        assert fit >= per_job - 1e-12
 
-    def test_single_resource_equals_total_over_speed(self):
-        inst = make_instance([4.0], [6.0, 10.0, 8.0])
-        report = evaluate_makespan(inst, Assignment((0, 0, 0)))
-        assert report.makespan == pytest.approx(24.0 / 4.0)
-
-
-class TestFitness:
     def test_fitness_equals_makespan_without_windows(self, small_instance):
-        rng = np.random.default_rng(1)
-        assignee = tuple(
-            int(x) for x in rng.integers(0, small_instance.resource_count, small_instance.job_count)
-        )
-        fit = assignment_fitness(small_instance, Assignment(assignee))
-        report = evaluate_makespan(small_instance, Assignment(assignee))
-        assert fit == pytest.approx(report.makespan, rel=1e-12)
+        rng = np.random.default_rng(2024)
+        for inst in (small_instance, fixture_suite()["r3_j13"]):
+            assignee = tuple(int(x) for x in rng.integers(0, inst.resource_count, inst.job_count))
+            fit = assignment_fitness(inst, Assignment(assignee))
+            assert fit == pytest.approx(naive_makespan(inst, assignee), rel=1e-12)
 
     def test_overshoot_penalty_is_ten_per_time_unit(self):
         inst = make_instance([1.0], [12.0], ends=[10.0])
@@ -214,15 +178,15 @@ class TestFitness:
 class TestDefuzzify:
     def test_unique_maximum_column(self):
         matrix = MembershipMatrix(np.array([[0.2], [0.5], [0.3]]))
-        assert defuzzify(matrix).assignee == (1,)
+        assert batch_defuzzify(matrix.values).tolist() == [1]
 
     def test_tie_takes_lowest_resource_index(self):
         matrix = MembershipMatrix(np.array([[0.5], [0.5]]))
-        assert defuzzify(matrix).assignee == (0,)
+        assert batch_defuzzify(matrix.values).tolist() == [0]
 
     def test_one_hot_columns(self):
         matrix = MembershipMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-        assert defuzzify(matrix).assignee == (0, 1, 0)
+        assert batch_defuzzify(matrix.values).tolist() == [0, 1, 0]
 
     @given(
         hnp.arrays(
@@ -242,7 +206,9 @@ class TestDefuzzify:
         else:
             rescaled = np.sqrt(values)
         rescaled_matrix = repair(rescaled)
-        assert defuzzify(rescaled_matrix).assignee == defuzzify(matrix).assignee
+        np.testing.assert_array_equal(
+            batch_defuzzify(rescaled_matrix.values), batch_defuzzify(matrix.values)
+        )
 
 
 class TestCheckConstraints:
@@ -336,11 +302,7 @@ class TestBruteForce:
         rng = np.random.default_rng(99)
         n, m = tiny_instance.resource_count, tiny_instance.job_count
         randoms = rng.integers(0, n, size=(1000, m))
-        makespans = [
-            evaluate_makespan(tiny_instance, Assignment(tuple(int(x) for x in row))).makespan
-            for row in randoms
-        ]
-        assert optimum <= min(makespans) + 1e-12
+        assert optimum <= batch_fitness(tiny_instance, randoms).min() + 1e-12
 
     def test_matches_naive_enumeration_on_random_instances(self):
         rng = np.random.default_rng(5)
