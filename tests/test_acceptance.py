@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridsched import cli
+from gridsched import cli, fuzzy_de, model
 from gridsched.baselines import GAConfig, PSOConfig, SAConfig
 from gridsched.benchstats import (
     SolverSpec,
@@ -28,8 +28,8 @@ from gridsched.datasets import (
     save_instance,
     write_fixtures,
 )
-from gridsched.fuzzy_de import Individual, SolverConfig, crossover, mutate
-from gridsched.model import brute_force_optimum, check_constraints, repair
+from gridsched.fuzzy_de import SolverConfig
+from gridsched.model import brute_force_optimum
 from reference_data import (
     REPORTED_MEAN_MAKESPANS,
     REPORTED_RELATIVE,
@@ -70,28 +70,41 @@ def test_criterion_1_relative_table_arithmetic():
 
 
 def test_criterion_2_constraint_preservation():
+    # 1000 one-generation cycles of the DE engine with random F and CR on a
+    # population that carries over; every repaired trial of every cycle is checked.
     rng = np.random.default_rng(8860)
     n, m = 8, 60
-    population = [
-        Individual(repair(rng.random((n, m))), 0.0) for _ in range(6)
-    ]
+    instance = fixture_suite()["r8_j60"]
+    assert (instance.resource_count, instance.job_count) == (n, m)
+    genomes = model.repair_stack(rng.random((6, n, m)))
+    checked = 0
     violations = 0
-    for cycle in range(1000):
-        target = cycle % len(population)
+
+    def checked_repair(trials):
+        nonlocal checked, violations
+        repaired = model.repair_stack(trials)
+        for values in repaired:
+            checked += 1
+            if not np.isfinite(values).all():
+                violations += 1
+            if (values < 0.0).any() or (values > 1.0).any():
+                violations += 1
+            if np.abs(values.sum(axis=0) - 1.0).max() > 1e-9:
+                violations += 1
+        return repaired
+
+    for _ in range(1000):
         scaling = float(rng.uniform(0.05, 2.0))
         rate = float(rng.uniform(0.0, 1.0))
-        raw = mutate(population, target, scaling, rng)
-        trial = crossover(population[target].genome, raw, rate, rng)
-        fixed = repair(trial)
-        values = fixed.values
-        if not check_constraints(values):
-            violations += 1
-        if (values < 0.0).any() or (values > 1.0).any():
-            violations += 1
-        if np.abs(values.sum(axis=0) - 1.0).max() > 1e-9:
-            violations += 1
-        population[target] = Individual(fixed, 0.0)
-    report("2 constraint preservation", violations == 0, f"{violations} violations in 1000 cycles")
+        config = SolverConfig(scaling, rate, population_size=6, max_iterations=1)
+        fuzzy_de.evolve(
+            instance, genomes, config, rng, checked_repair, model.batch_defuzzify, 0.0
+        )
+    report(
+        "2 constraint preservation",
+        violations == 0 and checked == 6000,
+        f"{violations} violations in {checked} trials over 1000 cycles",
+    )
 
 
 def _criterion_3_specs():
