@@ -4,11 +4,8 @@ from gridsched.model import (
     Assignment,
     GridInstance,
     Job,
-    MembershipMatrix,
     Resource,
     brute_force_optimum,
-    check_constraints,
-    repair,
 )
 
 __version__ = "0.1.0"
@@ -17,10 +14,7 @@ __all__ = [
     "Assignment",
     "GridInstance",
     "Job",
-    "MembershipMatrix",
     "Resource",
     "brute_force_optimum",
-    "check_constraints",
-    "repair",
     "__version__",
 ]

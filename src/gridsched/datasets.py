@@ -211,11 +211,10 @@ def document_to_instance(doc: object) -> GridInstance:
 
 def load_instance(path: str | Path) -> GridInstance:
     """Read an instance document; raises on missing, malformed or invalid files."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(f"{path}: not valid JSON ({exc})") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedDocumentError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     return document_to_instance(doc)
 
 

@@ -9,8 +9,7 @@ selection keeps the strictly better of trial and target.
 
 `evolve` is the one DE engine, vectorized over the whole population.  Crisp
 DE (baselines.crisp_de_solve) runs the same engine and differs only in its
-genome: a real vector, reflected into range and decoded by floor.  `mutate`
-and `crossover` run the engine's draws on a single target.
+genome: a real vector, reflected into range and decoded by floor.
 
 The engine builds trials sparsely.  At the default crossover rate a trial
 takes the mutant in about 2 % of its slots, so the mutant is computed only
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from gridsched.model import (
     Assignment,
     ConfigurationError,
     GridInstance,
-    MembershipMatrix,
     check_max_iterations,
     check_seed,
 )
@@ -69,12 +67,6 @@ class SolverConfig:
             )
         check_max_iterations(self.max_iterations)
         check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class Individual:
-    genome: MembershipMatrix
-    fitness: float
 
 
 @dataclass(frozen=True)
@@ -143,69 +135,6 @@ def _partners(targets: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
     return order + (order >= targets[:, None])
 
 
-def _mutants(
-    genomes: np.ndarray, targets: np.ndarray, scaling_factor: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Dense DE/rand/1 mutants base + F * (first - second), one per target row."""
-    partners = _partners(targets, len(genomes), rng)
-    return genomes[partners[:, 0]] + scaling_factor * (
-        genomes[partners[:, 1]] - genomes[partners[:, 2]]
-    )
-
-
-def _draw_take(
-    uniforms: np.ndarray, take: np.ndarray, crossover_rate: float, rng: np.random.Generator
-) -> None:
-    """Fill `take`, a (k, ...) mask, with binomial crossover and one forced slot per row.
-
-    `uniforms` is scratch of the same shape for the per-slot draws.
-    """
-    rng.random(out=uniforms)
-    np.less(uniforms, crossover_rate, out=take)
-    k = len(take)
-    forced = rng.integers(0, take[0].size, size=k)
-    take.reshape(k, -1)[np.arange(k), forced] = True
-
-
-def mutate(
-    population: Sequence[Individual],
-    target_index: int,
-    scaling_factor: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Raw mutant base + scaling_factor * (first - second) for one target.
-
-    The engine's partner draw on a single row.  The result may leave the
-    constraint set; repair happens after crossover.
-    """
-    size = len(population)
-    if size < 4:
-        raise ConfigurationError(f"mutation needs a population of at least 4, got {size}")
-    genomes = np.stack([ind.genome.values for ind in population])
-    return _mutants(genomes, np.array([target_index]), scaling_factor, rng)[0]
-
-
-def crossover(
-    target: MembershipMatrix | np.ndarray,
-    mutant: np.ndarray,
-    crossover_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Binomial crossover with one forced mutant slot (the engine's, on one row).
-
-    Per slot, a uniform draw below crossover_rate takes the mutant value,
-    otherwise the target value; one uniformly chosen slot always takes the
-    mutant, so the trial differs from the target unless mutant == target.
-    """
-    target_values = target.values if isinstance(target, MembershipMatrix) else np.asarray(target)
-    mutant = np.asarray(mutant)
-    if target_values.shape != mutant.shape:
-        raise ValueError(f"shape mismatch: target {target_values.shape}, mutant {mutant.shape}")
-    take = np.empty((1, *mutant.shape), dtype=bool)
-    _draw_take(np.empty(take.shape), take, crossover_rate, rng)
-    return np.where(take[0], mutant, target_values)
-
-
 def evolve(
     instance: GridInstance,
     genomes: np.ndarray,
@@ -235,7 +164,10 @@ def evolve(
     for _ in range(config.max_iterations):
         # In the flat stack, partner p's copy of row r's slot is (p - r) * cells away.
         shifts = (_partners(rows, len(genomes), rng) - rows[:, None]) * cells
-        _draw_take(uniforms, take, config.crossover_rate, rng)
+        # Binomial crossover, then one forced slot per row.
+        rng.random(out=uniforms)
+        np.less(uniforms, config.crossover_rate, out=take)
+        take.reshape(len(rows), -1)[rows, rng.integers(0, cells, size=len(rows))] = True
         taken = np.flatnonzero(take)
         owners = taken // cells
         flat = genomes.reshape(-1)

@@ -1,10 +1,9 @@
 """Domain model for scheduling independent jobs on heterogeneous grid resources.
 
 Holds the problem types (resources, jobs, instances), crisp schedules, the
-fuzzy membership-matrix encoding with its constraint check, repair and argmax
-decoding, the shared fitness function that scores every schedule, and an
-exhaustive enumeration oracle for small instances that minimizes the same
-penalized objective.
+repair and argmax decoding of stacks of fuzzy membership matrices, the shared
+fitness function that scores every schedule, and an exhaustive enumeration
+oracle for small instances that minimizes the same penalized objective.
 
 All operations are pure functions of their inputs; every value type is
 immutable after construction and safe to share between concurrent workers.
@@ -18,9 +17,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-# Column sums of a membership matrix must hit 1 within this tolerance.
-COLUMN_SUM_TOL = 1e-9
 
 # Weight on availability-window overshoot when scoring infeasible schedules.
 OVERSHOOT_PENALTY = 10.0
@@ -177,38 +173,6 @@ class Assignment:
         return np.array(self.assignee, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipMatrix:
-    """Fuzzy genome: rows index resources, columns index jobs.
-
-    Entry (i, j) grades how strongly resource i claims job j.  Every entry
-    lies in [0, 1] and every column sums to 1, so each job distributes one
-    unit of membership over the resources.  Construct from arbitrary raw
-    matrices via :func:`repair`.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"membership matrix must be a non-empty 2-d array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NumericDomainError("membership matrix contains non-finite entries")
-        if not check_constraints(arr):
-            raise ValueError("membership matrix violates [0,1] bounds or unit column sums")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def resource_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def job_count(self) -> int:
-        return self.values.shape[1]
-
-
 def _validated_assignee(instance: GridInstance, assignment: Assignment) -> np.ndarray:
     a = assignment.to_array()
     if len(a) != instance.job_count:
@@ -255,24 +219,14 @@ def assignment_fitness(instance: GridInstance, assignment: Assignment) -> float:
     return float(batch_fitness(instance, a[None, :])[0])
 
 
-def check_constraints(raw: np.ndarray) -> bool:
-    """True iff all entries are in [0, 1] and every column sums to 1 within tolerance."""
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        return False
-    if not np.isfinite(arr).all():
-        return False
-    if (arr < 0.0).any() or (arr > 1.0).any():
-        return False
-    return bool(np.all(np.abs(arr.sum(axis=0) - 1.0) <= COLUMN_SUM_TOL))
-
-
 def repair_stack(stack: np.ndarray) -> np.ndarray:
     """Repair a (..., resource_count, job_count) stack of raw matrices in place.
 
-    Entries are clamped to [0, 1] and each column is rescaled to unit sum.
-    A column whose clamped sum is zero has no usable signal left and is reset
-    to the uniform column.  Idempotent up to floating-point roundoff.
+    A membership matrix grades how strongly resource i claims job j: entries
+    in [0, 1], each column summing to 1.  Repair clamps entries to [0, 1] and
+    rescales each column to unit sum.  A column whose clamped sum is zero has
+    no usable signal left and is reset to the uniform column.  Idempotent up
+    to floating-point roundoff.
     """
     if not np.isfinite(stack).all():
         raise NumericDomainError("cannot repair non-finite membership values")
@@ -286,14 +240,6 @@ def repair_stack(stack: np.ndarray) -> np.ndarray:
     else:
         np.divide(stack, sums, out=stack)
     return stack
-
-
-def repair(raw: np.ndarray) -> MembershipMatrix:
-    """Turn an arbitrary finite raw matrix into a valid membership matrix."""
-    arr = np.array(raw, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
-    return MembershipMatrix(repair_stack(arr))
 
 
 def batch_defuzzify(stack: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The protocol-scale tests
 (criteria 3 and 6) execute thousands of seeded solver runs and take several
-minutes together.
+minutes together; they carry the `slow` marker, so `-m "not slow"` skips them.
 """
 
 import csv
@@ -10,6 +10,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gridsched import cli, fuzzy_de, model
 from gridsched.baselines import GAConfig, PSOConfig, SAConfig
@@ -125,6 +126,7 @@ def _criterion_3_specs():
     }
 
 
+@pytest.mark.slow
 def test_criterion_3_oracle_equivalence():
     required_hits = {"fuzzy-de": 90, "de": 90, "ga": 90, "sa": 80}
     margin = {"fuzzy-de": 1.05, "de": 1.05, "ga": 1.05, "sa": 1.10}
@@ -228,6 +230,7 @@ def test_criterion_5_determinism(tmp_path, capsys):
     report("5 determinism", not mismatches, f"mismatches: {mismatches or 'none'}")
 
 
+@pytest.mark.slow
 def test_criterion_6_protocol_shape(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GRIDSCHED_THREADS", "2")
     rc = cli.main(["bench", "--fixtures", "--runs", "100", "--seed", "0", "--out", str(tmp_path)])

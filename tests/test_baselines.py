@@ -28,8 +28,8 @@ from gridsched.model import (
     Job,
     Resource,
     brute_force_optimum,
-    check_constraints,
 )
+from oracles import is_membership_matrix
 
 SOLVERS = {
     "ga": (ga_solve, lambda seed: GAConfig(population_size=16, max_iterations=40, seed=seed)),
@@ -385,10 +385,11 @@ def reference_fuzzy_de(instance, config):
 
     population = []
     for _ in range(config.population_size):
-        genome = model.repair(rng.random((n, m)))
-        assignees = model.batch_defuzzify(genome.values[None, :, :])
+        genome = model.repair_stack(rng.random((n, m)))
+        assert is_membership_matrix(genome)
+        assignees = model.batch_defuzzify(genome[None, :, :])
         population.append((genome, float(model.batch_fitness(instance, assignees)[0])))
-    stack = np.stack([genome.values for genome, _ in population])
+    stack = np.stack([genome for genome, _ in population])
     fits = np.array([fitness for _, fitness in population])
 
     best_index = int(np.argmin(fits))
@@ -648,7 +649,7 @@ class TestFuzzyPSO:
         scratch = np.empty((2, 5, 3, 6))
         new_pos, _ = pso_step(positions, velocities, pbest, gbest, PSOConfig(), rng, scratch)
         for matrix in new_pos:
-            assert check_constraints(matrix)
+            assert is_membership_matrix(matrix)
 
     @pytest.mark.parametrize("source, seed, overrides", PSO_IDENTITY_CASES)
     def test_bit_identical_to_inline_reference(self, source, seed, overrides):

@@ -69,6 +69,12 @@ class TestSolve:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
 
+    def test_non_utf8_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{\x00}\x00')
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"gridsched: {path}: ")
+
     def test_trace_file_written(self, instance_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["solve", "--algo", "ga", "--seed", "2", "--np", "8", "--iters", "12",

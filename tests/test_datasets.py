@@ -121,6 +121,12 @@ class TestPersistence:
         with pytest.raises(MalformedDocumentError):
             load_instance(path)
 
+    def test_non_utf8_file_is_malformed(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{\x00}\x00')
+        with pytest.raises(MalformedDocumentError):
+            load_instance(path)
+
     def test_negative_speed_is_schema_violation(self, tmp_path):
         doc = {
             "resources": [

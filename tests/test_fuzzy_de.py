@@ -5,15 +5,7 @@ import pytest
 
 from gridsched import model
 from gridsched.datasets import GeneratorSpec, generate_instance
-from gridsched.fuzzy_de import (
-    Individual,
-    SolverConfig,
-    _mutants,
-    crossover,
-    evolve,
-    mutate,
-    solve,
-)
+from gridsched.fuzzy_de import SolverConfig, _partners, evolve, solve
 from gridsched.model import (
     Assignment,
     ConfigurationError,
@@ -21,14 +13,8 @@ from gridsched.model import (
     Job,
     Resource,
     brute_force_optimum,
-    check_constraints,
-    repair,
 )
-
-
-def make_population(matrices, fitnesses=None):
-    fitnesses = fitnesses or [0.0] * len(matrices)
-    return [Individual(repair(np.asarray(m, dtype=float)), f) for m, f in zip(matrices, fitnesses)]
+from oracles import is_membership_matrix
 
 
 class TestSolverConfig:
@@ -82,7 +68,7 @@ class TestInitialPopulation:
         (fits,) = scored
         assert stack.shape == (12, 3, 8)
         for genome in stack:
-            assert check_constraints(genome)
+            assert is_membership_matrix(genome)
         scores = [
             model.assignment_fitness(
                 small_instance, Assignment(tuple(model.batch_defuzzify(genome).tolist()))
@@ -107,88 +93,21 @@ class TestInitialPopulation:
         np.testing.assert_array_equal(repaired[0], np.ones((10, 1, 5)))
 
 
-class TestMutate:
-    def test_zero_scaling_returns_a_population_member(self):
-        rng = np.random.default_rng(4)
-        pop = make_population([np.eye(2) * 0.6 + 0.2, [[1, 0], [0, 1]], [[0.5] * 2] * 2, [[0.3, 0.7], [0.7, 0.3]]])
-        mutant = mutate(pop, 0, 0.0, rng)
-        assert any(np.array_equal(mutant, ind.genome.values) for ind in pop[1:])
-
-    def test_equal_difference_pair_collapses_to_base(self):
-        # All non-target genomes identical, so base + F*(a - b) == base.
-        shared = [[0.4, 0.6], [0.6, 0.4]]
-        pop = make_population([[[0.1, 0.9], [0.9, 0.1]], shared, shared, shared])
-        mutant = mutate(pop, 0, 0.8, np.random.default_rng(0))
-        np.testing.assert_allclose(mutant, np.asarray(shared))
-
-    def test_slot_arithmetic(self):
-        # Single-slot genomes make the combination visible: 0.4 + 0.5*(0.8-0.2).
-        pop = make_population([[[0.0]], [[0.4]], [[0.8]], [[0.2]]])
-        rng = np.random.default_rng(11)
-        order = np.argsort(np.random.default_rng(11).random(3))
-        picks = order + (order >= 0)
-        expected = pop[picks[0]].genome.values + 0.5 * (
-            pop[picks[1]].genome.values - pop[picks[2]].genome.values
-        )
-        mutant = mutate(pop, 0, 0.5, rng)
-        np.testing.assert_allclose(mutant, expected)
-        direct = 0.4 + 0.5 * (0.8 - 0.2)
-        assert direct == pytest.approx(0.7)
-
+class TestPartners:
     @pytest.mark.parametrize("size", [4, 5, 7, 12])
     def test_partners_are_distinct_and_differ_from_the_target(self, size):
-        # Genome i holds the unit vector e_i, so with F = 0.5 the mutant
-        # e_base + 0.5 * (e_first - e_second) shows its three partners, and
-        # any coincidence among them breaks the pattern of values.
-        def partners(mutant):
-            assert sorted(mutant.tolist()) == [-0.5] + [0.0] * (size - 3) + [0.5, 1.0]
-            return set(np.flatnonzero(mutant).tolist())
-
-        unit = np.eye(size)
-        pop = make_population([np.vstack([unit[i], 1.0 - unit[i]]) for i in range(size)])
+        targets = np.arange(size)
+        seen = [set() for _ in targets]
         for seed in range(50):
-            population_path = _mutants(unit, np.arange(size), 0.5, np.random.default_rng(seed))
-            for target in range(size):
-                assert target not in partners(population_path[target])
-                single_row = mutate(pop, target, 0.5, np.random.default_rng(seed))
-                assert target not in partners(single_row[0])
-
-    def test_rejects_tiny_population(self):
-        pop = make_population([[[1.0]], [[1.0]], [[1.0]]])
-        with pytest.raises(ConfigurationError):
-            mutate(pop, 0, 0.5, np.random.default_rng(0))
-
-
-class TestCrossover:
-    def test_full_rate_copies_mutant(self):
-        target = repair(np.full((3, 4), 0.5))
-        mutant = np.full((3, 4), 0.9)
-        trial = crossover(target, mutant, 1.0, np.random.default_rng(2))
-        np.testing.assert_array_equal(trial, mutant)
-
-    def test_zero_rate_keeps_target_except_forced_slot(self):
-        target = repair(np.full((3, 4), 1 / 3))
-        mutant = np.full((3, 4), 0.9)
-        trial = crossover(target, mutant, 0.0, np.random.default_rng(2))
-        differing = np.sum(trial != target.values)
-        assert differing == 1
-        assert trial[trial != target.values][0] == 0.9
-
-    def test_seeded_replay_reproduces_slot_selection(self):
-        # Re-draw the identical stream and rebuild the expected slot mask.
-        target = repair(np.array([[0.2, 0.8], [0.8, 0.2]]))
-        mutant = np.array([[0.55, 0.45], [0.45, 0.55]])
-        seed = 1234
-        trial = crossover(target, mutant, 0.5, np.random.default_rng(seed))
-        replay = np.random.default_rng(seed)
-        take = replay.random((2, 2)) < 0.5
-        take.reshape(-1)[int(replay.integers(4))] = True
-        expected = np.where(take, mutant, target.values)
-        np.testing.assert_array_equal(trial, expected)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            crossover(repair(np.full((2, 2), 0.5)), np.zeros((3, 2)), 0.5, np.random.default_rng(0))
+            partners = _partners(targets, size, np.random.default_rng(seed))
+            assert partners.shape == (size, 3)
+            for target, row in zip(targets.tolist(), partners.tolist()):
+                assert len(set(row)) == 3
+                assert target not in row
+                assert all(0 <= p < size for p in row)
+                seen[target].update(row)
+        # Every other member is drawn for every target at some seed.
+        assert all(picked == set(range(size)) - {target} for target, picked in enumerate(seen))
 
 
 class TestSelection:
@@ -280,7 +199,7 @@ class TestSolve:
         assert len(seen) == 1 + 25 + 1
         for stack in seen:
             for genome in stack:
-                assert check_constraints(genome)
+                assert is_membership_matrix(genome)
 
     def test_reaches_oracle_neighborhood_on_small_instance(self):
         inst = generate_instance(GeneratorSpec(3, 10, seed=77))
