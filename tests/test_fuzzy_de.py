@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,107 @@ class TestPartners:
                 seen[target].update(row)
         # Every other member is drawn for every target at some seed.
         assert all(picked == set(range(size)) - {target} for target, picked in enumerate(seen))
+
+
+def first_raw_trials(instance, genomes, config, seed):
+    """The raw (pre-repair) trial stack of evolve's first generation from `genomes`."""
+    raw = []
+
+    def repair(trials):
+        raw.append(trials.copy())
+        return model.repair_stack(trials)
+
+    evolve(
+        instance, genomes.copy(), replace(config, max_iterations=1), np.random.default_rng(seed),
+        repair, model.batch_defuzzify, time.perf_counter(),
+    )
+    (trials,) = raw
+    return trials
+
+
+def replayed_draws(genomes, crossover_rate, seed):
+    """Re-draw one generation's stream densely: (partners, take mask)."""
+    pop = len(genomes)
+    rows = np.arange(pop)
+    replay = np.random.default_rng(seed)
+    order = np.argsort(replay.random((pop, pop - 1)), axis=1)[:, :3]
+    partners = order + (order >= rows[:, None])
+    take = replay.random(genomes.shape) < crossover_rate
+    take.reshape(pop, -1)[rows, replay.integers(0, genomes[0].size, size=pop)] = True
+    return partners, take
+
+
+def dense_mutants(genomes, partners, scaling_factor):
+    base, first, second = (genomes[partners[:, k]] for k in range(3))
+    return base + scaling_factor * (first - second)
+
+
+class TestMutate:
+    # Mutation is observed through the raw trials of one evolve generation at
+    # crossover rate 1, where every slot comes from the mutant.
+
+    def test_equal_difference_pair_collapses_to_base(self):
+        # All non-target genomes identical, so base + F*(a - b) == base.
+        inst = generate_instance(GeneratorSpec(2, 2, seed=1))
+        shared = [[0.4, 0.6], [0.6, 0.4]]
+        genomes = np.array([[[0.1, 0.9], [0.9, 0.1]], shared, shared, shared])
+        config = SolverConfig(scaling_factor=0.8, crossover_rate=1.0, population_size=4)
+        trials = first_raw_trials(inst, genomes, config, seed=0)
+        np.testing.assert_array_equal(trials[0], np.asarray(shared))
+
+    def test_slot_arithmetic(self):
+        # Single-slot genomes make each trial exactly base + F*(first - second).
+        inst = generate_instance(GeneratorSpec(1, 1, seed=2))
+        values = [0.0, 0.4, 0.8, 0.2]
+        genomes = np.array(values).reshape(4, 1, 1)
+        config = SolverConfig(scaling_factor=0.5, crossover_rate=1.0, population_size=4)
+        trials = first_raw_trials(inst, genomes, config, seed=11)
+        partners, _ = replayed_draws(genomes, 1.0, seed=11)
+        for target in range(4):
+            base, first, second = (values[p] for p in partners[target])
+            assert trials[target, 0, 0] == base + 0.5 * (first - second)
+
+    def test_rejects_tiny_population(self):
+        inst = generate_instance(GeneratorSpec(1, 1, seed=2))
+        with pytest.raises(ConfigurationError):
+            evolve(
+                inst, np.ones((3, 1, 1)), SolverConfig(max_iterations=1),
+                np.random.default_rng(0), model.repair_stack, model.batch_defuzzify,
+                time.perf_counter(),
+            )
+
+
+class TestCrossover:
+    def test_full_rate_copies_mutant(self, small_instance):
+        genomes = model.repair_stack(np.random.default_rng(3).random((6, 3, 8)))
+        config = SolverConfig(scaling_factor=0.7, crossover_rate=1.0, population_size=6)
+        trials = first_raw_trials(small_instance, genomes, config, seed=5)
+        partners, _ = replayed_draws(genomes, 1.0, seed=5)
+        np.testing.assert_array_equal(trials, dense_mutants(genomes, partners, 0.7))
+
+    def test_zero_rate_keeps_target_except_forced_slot(self, small_instance):
+        genomes = model.repair_stack(np.random.default_rng(4).random((5, 3, 8)))
+        config = SolverConfig(crossover_rate=0.0, population_size=5)
+        trials = first_raw_trials(small_instance, genomes, config, seed=6)
+        partners, take = replayed_draws(genomes, 0.0, seed=6)
+        mutants = dense_mutants(genomes, partners, config.scaling_factor)
+        for target in range(5):
+            differing = trials[target] != genomes[target]
+            assert np.sum(differing) == 1
+            assert np.array_equal(differing, take[target])
+            assert trials[target][differing][0] == mutants[target][differing][0]
+
+    @pytest.mark.parametrize("crossover_rate", [0.0, 0.02, 0.5, 1.0])
+    def test_seeded_replay_reproduces_slot_selection(self, crossover_rate):
+        # Re-draw the identical stream and rebuild the expected trials densely.
+        inst = generate_instance(GeneratorSpec(4, 30, seed=8))
+        genomes = model.repair_stack(np.random.default_rng(9).random((7, 4, 30)))
+        config = SolverConfig(scaling_factor=1.3, crossover_rate=crossover_rate, population_size=7)
+        seed = 1234
+        trials = first_raw_trials(inst, genomes, config, seed)
+        partners, take = replayed_draws(genomes, crossover_rate, seed)
+        expected = np.where(take, dense_mutants(genomes, partners, 1.3), genomes)
+        np.testing.assert_array_equal(trials, expected)
 
 
 class TestSelection:
