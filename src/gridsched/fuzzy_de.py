@@ -153,12 +153,7 @@ def evolve(
     Mutants are computed only at the slots crossover takes, on buffers
     reused every generation (see the module docstring).
     """
-    if len(genomes) < 4:
-        raise ConfigurationError(
-            f"evolve needs at least 4 genomes so mutation can draw three "
-            f"distinct partners, got {len(genomes)}"
-        )
-    fits =model.batch_fitness(instance, decode(genomes))
+    fits = model.batch_fitness(instance, decode(genomes))
     best = _Best(fits, genomes, started)
 
     rows = np.arange(len(genomes))

@@ -169,15 +169,6 @@ class TestMutate:
             base, first, second = (values[p] for p in partners[target])
             assert trials[target, 0, 0] == base + 0.5 * (first - second)
 
-    def test_rejects_tiny_population(self):
-        inst = generate_instance(GeneratorSpec(1, 1, seed=2))
-        with pytest.raises(ConfigurationError):
-            evolve(
-                inst, np.ones((3, 1, 1)), SolverConfig(max_iterations=1),
-                np.random.default_rng(0), model.repair_stack, model.batch_defuzzify,
-                time.perf_counter(),
-            )
-
 
 class TestCrossover:
     def test_full_rate_copies_mutant(self, small_instance):

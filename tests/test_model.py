@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
@@ -181,7 +181,9 @@ class TestDefuzzify:
         hnp.arrays(
             np.float64,
             st.tuples(st.integers(2, 5), st.integers(1, 6)),
-            elements=st.floats(0.001, 1.0),
+            # A grid of 1/1000 steps keeps distinct entries far more than an ulp
+            # apart, so rounding in the transforms below cannot merge or swap them.
+            elements=st.integers(1, 1000).map(lambda k: k / 1000),
         ),
         st.sampled_from(["cube", "affine", "sqrt"]),
     )
@@ -195,11 +197,6 @@ class TestDefuzzify:
         else:
             rescaled = np.sqrt(values)
         repaired = repair_stack(rescaled)
-        # The decoding depends only on each column's order, which these maps keep
-        # in exact arithmetic; rounding can merge entries one ulp apart
-        # (0.25 * x + 0.1 does), so inputs whose order changed are skipped.
-        order = np.sign(values[:, None] - values)
-        assume(np.array_equal(np.sign(repaired[:, None] - repaired), order))
         np.testing.assert_array_equal(batch_defuzzify(repaired), batch_defuzzify(values))
 
 
