@@ -84,7 +84,7 @@ class SAConfig:
 
 @dataclass(frozen=True)
 class PSOConfig:
-    swarm_size: int = 50
+    population_size: int = 50
     max_iterations: int = 500
     inertia_weight: float = 0.729
     cognitive_coefficient: float = 1.494
@@ -92,8 +92,8 @@ class PSOConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.swarm_size < 2:
-            raise ConfigurationError(f"swarm_size must be >= 2, got {self.swarm_size}")
+        if self.population_size < 2:
+            raise ConfigurationError(f"population_size must be >= 2, got {self.population_size}")
         check_max_iterations(self.max_iterations)
         for name in ("inertia_weight", "cognitive_coefficient", "social_coefficient"):
             value = getattr(self, name)
@@ -135,16 +135,13 @@ def ga_solve(instance: GridInstance, config: GAConfig) -> RunResult:
     for _ in range(config.max_iterations):
         contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
         winners = contenders[np.arange(pop_size), np.argmin(fits[contenders], axis=1)]
-        children = population[winners].copy()
+        children = population[winners]
         pairs = pop_size // 2
         if m >= 2 and pairs:
             crossed = rng.random(pairs) < config.crossover_rate
             points = rng.integers(1, m, size=pairs)
-            # Copies, not views: both assignments below write into children.
-            first = children[0 : 2 * pairs : 2].copy()
-            second = children[1 : 2 * pairs : 2].copy()
             children[0 : 2 * pairs : 2], children[1 : 2 * pairs : 2] = one_point_crossover(
-                first, second, points, crossed
+                children[0 : 2 * pairs : 2], children[1 : 2 * pairs : 2], points, crossed
             )
         mutating = rng.random(pop_size) < config.mutation_rate
         slots = rng.integers(0, m, size=pop_size)
@@ -309,7 +306,7 @@ def fuzzy_pso_solve(instance: GridInstance, config: PSOConfig) -> RunResult:
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     n, m = instance.resource_count, instance.job_count
-    swarm = config.swarm_size
+    swarm = config.population_size
 
     positions = model.repair_stack(rng.random((swarm, n, m)))
     velocities = np.zeros_like(positions)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,34 +35,22 @@ class AlgorithmInfo:
     display: str
     solve: Callable[[GridInstance, AnyConfig], RunResult]
     config_type: type
-    # CLI override name -> config field name, for fields this solver has.
-    overrides: Mapping[str, str]
 
 
-# Both DE solvers run the one DE engine on a SolverConfig.
-DE_OVERRIDES = {
+ALGORITHMS: dict[str, AlgorithmInfo] = {
+    "ga": AlgorithmInfo("GA", baselines.ga_solve, GAConfig),
+    "sa": AlgorithmInfo("SA", baselines.sa_solve, SAConfig),
+    "fuzzy-pso": AlgorithmInfo("Fuzzy PSO", baselines.fuzzy_pso_solve, PSOConfig),
+    "de": AlgorithmInfo("DE", baselines.crisp_de_solve, SolverConfig),
+    "fuzzy-de": AlgorithmInfo("Fuzzy DE", fuzzy_de.solve, SolverConfig),
+}
+
+# CLI override name -> config field name; a solver takes those its config has.
+OVERRIDES = {
     "np": "population_size",
     "f": "scaling_factor",
     "cr": "crossover_rate",
     "iters": "max_iterations",
-}
-
-ALGORITHMS: dict[str, AlgorithmInfo] = {
-    "ga": AlgorithmInfo(
-        "GA",
-        baselines.ga_solve,
-        GAConfig,
-        {"np": "population_size", "cr": "crossover_rate", "iters": "max_iterations"},
-    ),
-    "sa": AlgorithmInfo("SA", baselines.sa_solve, SAConfig, {}),
-    "fuzzy-pso": AlgorithmInfo(
-        "Fuzzy PSO",
-        baselines.fuzzy_pso_solve,
-        PSOConfig,
-        {"np": "swarm_size", "iters": "max_iterations"},
-    ),
-    "de": AlgorithmInfo("DE", baselines.crisp_de_solve, SolverConfig, DE_OVERRIDES),
-    "fuzzy-de": AlgorithmInfo("Fuzzy DE", fuzzy_de.solve, SolverConfig, DE_OVERRIDES),
 }
 
 
@@ -98,10 +86,11 @@ def make_spec(algorithm: str, **overrides: float | int | None) -> SolverSpec:
     Overrides that the chosen algorithm has no field for are ignored.
     """
     info = _algorithm(algorithm)
+    names = {field.name for field in fields(info.config_type)}
     kwargs = {
-        info.overrides[name]: value
+        OVERRIDES[name]: value
         for name, value in overrides.items()
-        if value is not None and name in info.overrides
+        if value is not None and OVERRIDES.get(name) in names
     }
     return SolverSpec(algorithm=algorithm, config=info.config_type(**kwargs))
 
@@ -280,12 +269,19 @@ def write_traces(path: str | Path, traces: Iterable[tuple[str, str, Sequence[flo
                 writer.writerow([algorithm, instance, generation, repr(value)])
 
 
+def _pivot(
+    results: Sequence[StatsSummary], value: Callable[[StatsSummary], float]
+) -> dict[str, dict[str, float]]:
+    """Pivot summaries into {algorithm: {instance: value(summary)}}."""
+    table: dict[str, dict[str, float]] = {}
+    for summary in results:
+        table.setdefault(summary.algorithm, {})[summary.instance] = value(summary)
+    return table
+
+
 def summaries_to_means(results: Sequence[StatsSummary]) -> dict[str, dict[str, float]]:
     """Pivot summaries into {algorithm: {instance: mean makespan}}."""
-    means: dict[str, dict[str, float]] = {}
-    for summary in results:
-        means.setdefault(summary.algorithm, {})[summary.instance] = summary.mean_makespan
-    return means
+    return _pivot(results, lambda s: s.mean_makespan)
 
 
 def _format_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -300,21 +296,6 @@ def _format_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str
     return "\n".join(lines)
 
 
-def _pivot(
-    results: Sequence[StatsSummary], value: Callable[[StatsSummary], float]
-) -> tuple[list[str], list[str], dict[tuple[str, str], float]]:
-    algorithms: list[str] = []
-    instances: list[str] = []
-    cells: dict[tuple[str, str], float] = {}
-    for summary in results:
-        if summary.algorithm not in algorithms:
-            algorithms.append(summary.algorithm)
-        if summary.instance not in instances:
-            instances.append(summary.instance)
-        cells[(summary.algorithm, summary.instance)] = value(summary)
-    return algorithms, instances, cells
-
-
 def format_stat_table(
     results: Sequence[StatsSummary], which: str, display_names: Mapping[str, str] | None = None
 ) -> str:
@@ -325,14 +306,13 @@ def format_stat_table(
         "time": ("Mean wall time (s)", lambda s: s.mean_wall_time),
     }
     title, picker = pickers[which]
-    algorithms, instances, cells = _pivot(results, picker)
+    table = _pivot(results, picker)
+    instances = list(dict.fromkeys(s.instance for s in results))
     runs = results[0].runs if results else 0
     header = ["Algorithm"] + [
         (display_names or {}).get(inst, inst) for inst in instances
     ]
-    rows = [
-        [alg] + [f"{cells[(alg, inst)]:.4f}" for inst in instances] for alg in algorithms
-    ]
+    rows = [[alg] + [f"{row[inst]:.4f}" for inst in instances] for alg, row in table.items()]
     return _format_table(f"{title} ({runs} runs)", header, rows)
 
 

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="instance JSON file")
     solve.add_argument("--algo", choices=sorted(ALGORITHMS), default="fuzzy-de")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--np", type=int, dest="np_", help="population / swarm size")
+    solve.add_argument("--np", type=int, dest="np_", help="population size")
     solve.add_argument("--f", type=float, help="DE scaling factor")
     solve.add_argument("--cr", type=float, help="crossover rate")
     solve.add_argument("--iters", type=int, help="iteration count")
@@ -189,10 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleBudgetError as exc:
         print(f"gridsched: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError, MalformedDocumentError, SchemaError) as exc:
-        print(f"gridsched: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OSError, MalformedDocumentError, SchemaError) as exc:
         print(f"gridsched: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,10 +98,20 @@ class Resource:
 
 @dataclass(frozen=True)
 class GridInstance:
-    """A scheduling problem: an ordered set of resources and one of jobs."""
+    """A scheduling problem: an ordered set of resources and one of jobs.
+
+    The arrays are read-only and derived from the tuples; equality and hashing
+    use the tuples alone.
+    """
 
     resources: tuple[Resource, ...]
     jobs: tuple[Job, ...]
+    speeds: np.ndarray = field(init=False, repr=False, compare=False)
+    start_times: np.ndarray = field(init=False, repr=False, compare=False)
+    end_times: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    # True iff some resource's availability window has a finite end.
+    windowed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "resources", tuple(self.resources))
@@ -115,14 +125,14 @@ class GridInstance:
             if job.id != pos:
                 raise ValueError(f"job ids must be contiguous from 0, got {job.id} at {pos}")
         for name, arr in (
-            ("_speeds", np.array([r.speed for r in self.resources])),
-            ("_start_times", np.array([r.start_time for r in self.resources])),
-            ("_end_times", np.array([r.end_time for r in self.resources])),
-            ("_lengths", np.array([j.length for j in self.jobs])),
+            ("speeds", np.array([r.speed for r in self.resources])),
+            ("start_times", np.array([r.start_time for r in self.resources])),
+            ("end_times", np.array([r.end_time for r in self.resources])),
+            ("lengths", np.array([j.length for j in self.jobs])),
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_windowed", bool(np.isfinite(self._end_times).any()))
+        object.__setattr__(self, "windowed", bool(np.isfinite(self.end_times).any()))
 
     @property
     def resource_count(self) -> int:
@@ -131,27 +141,6 @@ class GridInstance:
     @property
     def job_count(self) -> int:
         return len(self.jobs)
-
-    @property
-    def speeds(self) -> np.ndarray:
-        return self._speeds
-
-    @property
-    def start_times(self) -> np.ndarray:
-        return self._start_times
-
-    @property
-    def end_times(self) -> np.ndarray:
-        return self._end_times
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self._lengths
-
-    @property
-    def windowed(self) -> bool:
-        """True iff some resource's availability window has a finite end."""
-        return self._windowed
 
 
 @dataclass(frozen=True)

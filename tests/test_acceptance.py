@@ -170,7 +170,7 @@ def _criterion_4_specs(seed):
                 min_temperature=0.05,
             ),
         ),
-        "fuzzy-pso": SolverSpec("fuzzy-pso", PSOConfig(swarm_size=8, max_iterations=25)),
+        "fuzzy-pso": SolverSpec("fuzzy-pso", PSOConfig(population_size=8, max_iterations=25)),
     }
 
 

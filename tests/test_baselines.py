@@ -46,7 +46,7 @@ SOLVERS = {
     "de": (crisp_de_solve, lambda seed: SolverConfig(population_size=12, max_iterations=50, seed=seed)),
     "fuzzy-pso": (
         fuzzy_pso_solve,
-        lambda seed: PSOConfig(swarm_size=12, max_iterations=50, seed=seed),
+        lambda seed: PSOConfig(population_size=12, max_iterations=50, seed=seed),
     ),
     "fuzzy-de": (
         fuzzy_de_solve,
@@ -78,7 +78,7 @@ class TestConfigValidation:
 
     def test_pso_bounds(self):
         with pytest.raises(ConfigurationError):
-            PSOConfig(swarm_size=1)
+            PSOConfig(population_size=1)
         with pytest.raises(ConfigurationError):
             PSOConfig(inertia_weight=-0.1)
 
@@ -499,7 +499,7 @@ def reference_fuzzy_pso(instance, config):
     n, m = instance.resource_count, instance.job_count
     w, c1, c2 = config.inertia_weight, config.cognitive_coefficient, config.social_coefficient
 
-    positions = model.repair_stack(rng.random((config.swarm_size, n, m)))
+    positions = model.repair_stack(rng.random((config.population_size, n, m)))
     velocities = np.zeros_like(positions)
     fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
     pbest = positions.copy()
@@ -543,7 +543,7 @@ PSO_IDENTITY_CASES = [
     pytest.param(GeneratorSpec(1, 7, seed=13), 5, {}, id="n1"),
     pytest.param(GeneratorSpec(5, 1, seed=13), 5, {}, id="m1"),
     pytest.param("r8_j60", 2**64 - 1, {}, id="r8_j60_max_seed"),
-    pytest.param("r10_j50", 5, {"swarm_size": 2}, id="r10_j50_swarm2"),
+    pytest.param("r10_j50", 5, {"population_size": 2}, id="r10_j50_swarm2"),
     pytest.param(
         "r8_j60",
         5,
@@ -629,14 +629,14 @@ class TestFuzzyPSO:
         gbest = positions[1].copy()
         # Only particle 1 sits exactly on both bests; it must not move.
         new_pos, new_vel = pso_step(
-            positions.copy(), velocities, pbest, gbest, PSOConfig(swarm_size=3), np.random.default_rng(5),
+            positions.copy(), velocities, pbest, gbest, PSOConfig(population_size=3), np.random.default_rng(5),
             scratch=np.empty((2, 3, 2, 4)),
         )
         np.testing.assert_allclose(new_pos[1], positions[1], atol=1e-12)
         np.testing.assert_allclose(new_vel[1], 0.0, atol=1e-15)
 
     def test_positions_stay_feasible(self, small_instance):
-        result = fuzzy_pso_solve(small_instance, PSOConfig(swarm_size=8, max_iterations=30, seed=1))
+        result = fuzzy_pso_solve(small_instance, PSOConfig(population_size=8, max_iterations=30, seed=1))
         # Terminal best decodes to a valid schedule; positions were repaired throughout.
         assert len(result.best_assignment) == small_instance.job_count
 
@@ -716,7 +716,7 @@ class TestFuzzyPSO:
             return original(stack)
 
         monkeypatch.setattr(model, "repair_stack", recording)
-        fuzzy_pso_solve(instance, PSOConfig(swarm_size=7, max_iterations=30, seed=5))
+        fuzzy_pso_solve(instance, PSOConfig(population_size=7, max_iterations=30, seed=5))
         # The initial swarm, then the whole (swarm, n, m) stack once per step.
         assert shapes == [(7, 3, 13)] * 31
 
@@ -725,7 +725,7 @@ class TestFuzzyPSO:
         hits = 0
         for seed in range(100):
             result = fuzzy_pso_solve(
-                tiny_instance, PSOConfig(swarm_size=30, max_iterations=100, seed=seed)
+                tiny_instance, PSOConfig(population_size=30, max_iterations=100, seed=seed)
             )
             if result.best_makespan <= 1.05 * optimum:
                 hits += 1

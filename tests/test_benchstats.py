@@ -56,6 +56,22 @@ class TestSpecs:
         spec = make_spec("sa", np=12, f=0.7, cr=0.4, iters=99)
         assert isinstance(spec.config, SAConfig)
 
+    @pytest.mark.parametrize(
+        "algorithm, expected",
+        [
+            ("ga", {"population_size": 12, "crossover_rate": 0.4, "max_iterations": 99}),
+            ("fuzzy-pso", {"population_size": 12, "max_iterations": 99}),
+            ("sa", {}),
+            ("de", {"population_size": 12, "scaling_factor": 0.7, "crossover_rate": 0.4,
+                    "max_iterations": 99}),
+            ("fuzzy-de", {"population_size": 12, "scaling_factor": 0.7, "crossover_rate": 0.4,
+                          "max_iterations": 99}),
+        ],
+    )
+    def test_make_spec_sets_the_fields_each_config_has(self, algorithm, expected):
+        spec = make_spec(algorithm, np=12, f=0.7, cr=0.4, iters=99)
+        assert spec.config == ALGORITHMS[algorithm].config_type(**expected)
+
     def test_every_algorithm_has_display_name(self):
         assert {info.display for info in ALGORITHMS.values()} == {
             "GA",

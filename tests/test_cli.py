@@ -92,6 +92,10 @@ class TestSolve:
     def test_unknown_algorithm_is_usage_error(self, instance_file):
         assert main(["solve", "--algo", "tabu", str(instance_file)]) == 2
 
+    def test_one_particle_swarm_is_usage_error(self, instance_file, capsys):
+        assert main(["solve", "--algo", "fuzzy-pso", "--np", "1", str(instance_file)]) == 2
+        assert "population_size must be >= 2" in capsys.readouterr().err
+
 
 class TestBench:
     def test_cross_product_row_count(self, tmp_path, capsys):

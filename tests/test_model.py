@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ class TestConstruction:
     def test_instance_is_windowed_iff_some_window_end_is_finite(self):
         assert not make_instance([1.0, 2.0], [3.0]).windowed
         assert make_instance([1.0, 2.0], [3.0], ends=[math.inf, 9.0]).windowed
+
+    def test_instance_arrays_are_read_only_and_outside_equality(self):
+        inst = make_instance([1.0, 2.0], [3.0, 4.0], ends=[math.inf, 9.0])
+        for name in ("speeds", "start_times", "end_times", "lengths"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(inst, name)[0] = 7.0
+        with pytest.raises(FrozenInstanceError):
+            inst.speeds = np.array([5.0, 6.0])
+        twin = make_instance([1.0, 2.0], [3.0, 4.0], ends=[math.inf, 9.0])
+        assert twin == inst and hash(twin) == hash(inst)
+        assert twin != make_instance([1.0, 2.0], [3.0, 5.0], ends=[math.inf, 9.0])
+        assert "speeds" not in repr(inst)
 
     def test_instance_requires_at_least_one_of_each(self):
         with pytest.raises(ValueError):
