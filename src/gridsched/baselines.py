@@ -14,7 +14,6 @@ allocated once per run, so a step allocates no swarm-sized float array.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from gridsched.fuzzy_de import RunResult, SolverConfig
 from gridsched.model import (
     ConfigurationError,
     GridInstance,
-    check_max_iterations,
+    check_count,
     check_seed,
 )
 
@@ -43,15 +42,13 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ConfigurationError(f"population_size must be >= 2, got {self.population_size}")
+        check_count("population_size", self.population_size, 2)
         if not (0 <= self.crossover_rate <= 1):
             raise ConfigurationError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
         if not (0 <= self.mutation_rate <= 1):
             raise ConfigurationError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
-        if self.tournament_size < 1:
-            raise ConfigurationError(f"tournament_size must be >= 1, got {self.tournament_size}")
-        check_max_iterations(self.max_iterations)
+        check_count("tournament_size", self.tournament_size, 1)
+        check_count("max_iterations", self.max_iterations, 0)
         check_seed(self.seed)
 
 
@@ -71,10 +68,7 @@ class SAConfig:
             )
         if not (0 < self.cooling_rate < 1):
             raise ConfigurationError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
-        if self.steps_per_temperature < 1:
-            raise ConfigurationError(
-                f"steps_per_temperature must be >= 1, got {self.steps_per_temperature}"
-            )
+        check_count("steps_per_temperature", self.steps_per_temperature, 1)
         if not (0 < self.min_temperature < self.initial_temperature):
             raise ConfigurationError(
                 f"min_temperature must sit in (0, initial_temperature), got {self.min_temperature}"
@@ -92,9 +86,8 @@ class PSOConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ConfigurationError(f"population_size must be >= 2, got {self.population_size}")
-        check_max_iterations(self.max_iterations)
+        check_count("population_size", self.population_size, 2)
+        check_count("max_iterations", self.max_iterations, 0)
         for name in ("inertia_weight", "cognitive_coefficient", "social_coefficient"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -168,8 +161,9 @@ def sa_solve(instance: GridInstance, config: SAConfig) -> RunResult:
 
     The initial state is scored by model.batch_fitness.  Moves are scored
     incrementally: the state's per-resource cycle loads and completion times
-    are kept as Python floats, a move patches the two entries it changes, and
-    a rejected move restores them.  At the start of every temperature level
+    are kept as Python floats, a move patches the two entries it changes,
+    model.completion_fitness scores the patched completions, and a rejected
+    move restores them.  At the start of every temperature level
     the loads, completions and current fitness are recomputed from the
     assignment with the same bincount batch_fitness uses, so float drift
     from non-integer lengths lasts at most one level.  With integer lengths
@@ -188,16 +182,7 @@ def sa_solve(instance: GridInstance, config: SAConfig) -> RunResult:
     lengths = instance.lengths.tolist()
     speeds = instance.speeds.tolist()
     starts = instance.start_times.tolist()
-    ends = instance.end_times.tolist()
-    windowed = instance.windowed
-
-    def score(completions: list[float]) -> float:
-        # batch_fitness's formula; with no overshoot its clip-sum is exactly 0.
-        makespan = max(completions)
-        if windowed and any(map(operator.gt, completions, ends)):
-            overshoot = np.clip(np.subtract(completions, instance.end_times), 0.0, None).sum()
-            return float(makespan + model.OVERSHOOT_PENALTY * overshoot)
-        return makespan
+    score = model.completion_fitness(instance)
 
     temperature = config.initial_temperature
     levels = 0

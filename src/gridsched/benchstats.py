@@ -21,7 +21,7 @@ import numpy as np
 from gridsched import baselines, fuzzy_de
 from gridsched.baselines import GAConfig, PSOConfig, SAConfig
 from gridsched.fuzzy_de import RunResult, SolverConfig
-from gridsched.model import ConfigurationError, GridInstance, check_seed
+from gridsched.model import ConfigurationError, GridInstance, check_count, check_seed
 
 RUNS_CSV = "runs.csv"
 TRACES_CSV = "traces.csv"
@@ -136,8 +136,7 @@ def run_experiments(
     processes, or run in this process when workers <= 1 or there is one run
     in all.  Summaries come back in cell order.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    check_count("runs", runs, 1)
     check_seed(master_seed)
     check_seed(master_seed + runs - 1)
     tasks = [
@@ -208,8 +207,6 @@ def default_workers(env: Mapping[str, str] | None = None) -> int:
 class RelativeTable:
     """Mean-makespan deltas of every algorithm against the baseline row."""
 
-    baseline: str
-    instances: tuple[str, ...]
     deltas: dict[str, dict[str, float]]
     averages: dict[str, float]
 
@@ -236,7 +233,7 @@ def relative_performance(
         delta_row = {inst: row[inst] - means[baseline][inst] for inst in instances}
         deltas[algorithm] = delta_row
         averages[algorithm] = sum(delta_row.values()) / len(instances)
-    return RelativeTable(baseline=baseline, instances=instances, deltas=deltas, averages=averages)
+    return RelativeTable(deltas=deltas, averages=averages)
 
 
 def export_csv(results: Sequence[StatsSummary], out_dir: str | Path) -> None:
@@ -279,11 +276,6 @@ def _pivot(
     return table
 
 
-def summaries_to_means(results: Sequence[StatsSummary]) -> dict[str, dict[str, float]]:
-    """Pivot summaries into {algorithm: {instance: mean makespan}}."""
-    return _pivot(results, lambda s: s.mean_makespan)
-
-
 def _format_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(cell) for cell in header]
     for row in rows:
@@ -296,38 +288,36 @@ def _format_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str
     return "\n".join(lines)
 
 
-def format_stat_table(
-    results: Sequence[StatsSummary], which: str, display_names: Mapping[str, str] | None = None
+def format_report(
+    results: Sequence[StatsSummary], display_names: Mapping[str, str] | None = None
 ) -> str:
-    """Fixed-width table of means, stddevs, or mean wall times per algorithm/instance."""
-    pickers: dict[str, tuple[str, Callable[[StatsSummary], float]]] = {
-        "mean": ("Mean makespan", lambda s: s.mean_makespan),
-        "stddev": ("Makespan standard deviation", lambda s: s.stddev_makespan),
-        "time": ("Mean wall time (s)", lambda s: s.mean_wall_time),
-    }
-    title, picker = pickers[which]
-    table = _pivot(results, picker)
+    """Fixed-width bench report: mean makespan, its standard deviation and mean
+    wall time of each algorithm on each instance, then the relative table.
+
+    The relative table needs a baseline row and at least one other algorithm;
+    without them a one-line note stands in its place.
+    """
     instances = list(dict.fromkeys(s.instance for s in results))
+    header = ["Algorithm"] + [(display_names or {}).get(inst, inst) for inst in instances]
     runs = results[0].runs if results else 0
-    header = ["Algorithm"] + [
-        (display_names or {}).get(inst, inst) for inst in instances
-    ]
-    rows = [[alg] + [f"{row[inst]:.4f}" for inst in instances] for alg, row in table.items()]
-    return _format_table(f"{title} ({runs} runs)", header, rows)
-
-
-def format_relative_table(
-    table: RelativeTable, display_names: Mapping[str, str] | None = None
-) -> str:
-    """Fixed-width relative-performance table with the per-algorithm average column."""
-    header = ["Algorithm"] + [
-        (display_names or {}).get(inst, inst) for inst in table.instances
-    ] + ["Average"]
-    rows = []
-    for algorithm, delta_row in table.deltas.items():
-        rows.append(
-            [algorithm]
-            + [f"{delta_row[inst]:.5f}" for inst in table.instances]
-            + [f"{table.averages[algorithm]:.5f}"]
-        )
-    return _format_table(f"Relative performance vs {table.baseline}", header, rows)
+    means = _pivot(results, lambda s: s.mean_makespan)
+    blocks = []
+    for title, table in (
+        ("Mean makespan", means),
+        ("Makespan standard deviation", _pivot(results, lambda s: s.stddev_makespan)),
+        ("Mean wall time (s)", _pivot(results, lambda s: s.mean_wall_time)),
+    ):
+        rows = [[alg] + [f"{row[inst]:.4f}" for inst in instances] for alg, row in table.items()]
+        blocks.append(_format_table(f"{title} ({runs} runs)", header, rows))
+    if BASELINE_ALGORITHM in means and len(means) > 1:
+        relative = relative_performance(means)
+        rows = [
+            [alg] + [f"{row[inst]:.5f}" for inst in instances] + [f"{relative.averages[alg]:.5f}"]
+            for alg, row in relative.deltas.items()
+        ]
+        title = f"Relative performance vs {BASELINE_ALGORITHM}"
+        blocks.append(_format_table(title, header + ["Average"], rows))
+    else:
+        blocks.append(f"(relative table skipped: needs a {BASELINE_ALGORITHM} row "
+                      f"and at least one other algorithm)")
+    return "\n\n".join(blocks)

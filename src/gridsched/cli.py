@@ -147,25 +147,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cells, args.runs, args.seed, benchstats.default_workers()
     )
     benchstats.export_csv(summaries, args.out)
-    display = datasets.FIXTURE_DISPLAY
-    print(format_tables(summaries, display))
+    print(benchstats.format_report(summaries, datasets.FIXTURE_DISPLAY))
     return 0
-
-
-def format_tables(summaries, display_names) -> str:
-    blocks = [
-        benchstats.format_stat_table(summaries, "mean", display_names),
-        benchstats.format_stat_table(summaries, "stddev", display_names),
-        benchstats.format_stat_table(summaries, "time", display_names),
-    ]
-    means = benchstats.summaries_to_means(summaries)
-    if benchstats.BASELINE_ALGORITHM in means and len(means) > 1:
-        table = benchstats.relative_performance(means)
-        blocks.append(benchstats.format_relative_table(table, display_names))
-    else:
-        blocks.append(f"(relative table skipped: needs a {benchstats.BASELINE_ALGORITHM} row "
-                      f"and at least one other algorithm)")
-    return "\n\n".join(blocks)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridsched.model import ConfigurationError, GridInstance, Job, Resource, check_seed
+from gridsched.model import ConfigurationError, GridInstance, Job, Resource, check_count, check_seed
 
 DEFAULT_SPEED_RANGE = (1.0, 10.0)
 DEFAULT_LENGTH_RANGE = (10.0, 100.0)
@@ -51,11 +51,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.resource_count < 1 or self.job_count < 1:
-            raise ConfigurationError(
-                f"need at least one resource and one job, got "
-                f"({self.resource_count}, {self.job_count})"
-            )
+        check_count("resource_count", self.resource_count, 1)
+        check_count("job_count", self.job_count, 1)
         _check_range("speed_range", self.speed_range)
         _check_range("length_range", self.length_range)
         if self.window is not None:

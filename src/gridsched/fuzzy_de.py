@@ -33,7 +33,7 @@ from gridsched.model import (
     Assignment,
     ConfigurationError,
     GridInstance,
-    check_max_iterations,
+    check_count,
     check_seed,
 )
 
@@ -60,12 +60,9 @@ class SolverConfig:
             raise ConfigurationError(f"scaling_factor must be in (0, 2], got {self.scaling_factor}")
         if not (0 <= self.crossover_rate <= 1):
             raise ConfigurationError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
-        if self.population_size < 4:
-            raise ConfigurationError(
-                f"population_size must be at least 4 so mutation can draw three "
-                f"distinct partners, got {self.population_size}"
-            )
-        check_max_iterations(self.max_iterations)
+        # Mutation draws three partners distinct from each other and the target.
+        check_count("population_size", self.population_size, 4)
+        check_count("max_iterations", self.max_iterations, 0)
         check_seed(self.seed)
 
 

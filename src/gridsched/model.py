@@ -15,6 +15,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,16 +37,21 @@ class ConfigurationError(ValueError):
     """A solver or generator configuration violates its invariants."""
 
 
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Reject a count that is not an integer (numpy integers pass) or is below minimum."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
 def check_seed(seed: int) -> None:
-    """Reject a seed that does not fit in 64 unsigned bits."""
+    """Reject a seed that is not an integer fitting in 64 unsigned bits."""
     if not (0 <= seed < 2**64):
         raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {seed}")
-
-
-def check_max_iterations(max_iterations: int) -> None:
-    """Reject a negative iteration budget."""
-    if max_iterations < 0:
-        raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
+    check_count("seed", seed, 0)
 
 
 class MalformedAssignmentError(ValueError):
@@ -134,6 +140,10 @@ class GridInstance:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "windowed", bool(np.isfinite(self.end_times).any()))
 
+    def __reduce__(self):
+        # Rebuild through __init__, so a copy's arrays are read-only too.
+        return (GridInstance, (self.resources, self.jobs))
+
     @property
     def resource_count(self) -> int:
         return len(self.resources)
@@ -200,6 +210,27 @@ def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
         return makespans
     overshoot = np.clip(completions - instance.end_times, 0.0, None).sum(axis=1)
     return makespans + OVERSHOOT_PENALTY * overshoot
+
+
+def completion_fitness(instance: GridInstance) -> Callable[[list[float]], float]:
+    """batch_fitness's formula for one list of per-resource completion times.
+
+    Without windows that is the builtin max.  With windows it adds the
+    overshoot penalty, summed by numpy in batch_fitness's order, whenever some
+    completion passes its window's end; otherwise the clip-sum is exactly 0.
+    """
+    if not instance.windowed:
+        return max
+    ends = instance.end_times.tolist()
+
+    def fitness(completions: list[float]) -> float:
+        makespan = max(completions)
+        if any(map(operator.gt, completions, ends)):
+            overshoot = np.clip(np.subtract(completions, instance.end_times), 0.0, None).sum()
+            return float(makespan + OVERSHOOT_PENALTY * overshoot)
+        return makespan
+
+    return fitness
 
 
 def assignment_fitness(instance: GridInstance, assignment: Assignment) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gridsched.baselines import (
     reflect_positions,
     sa_solve,
 )
+from gridsched.benchstats import run_experiments
 from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
 from gridsched.fuzzy_de import SolverConfig, solve as fuzzy_de_solve
 from gridsched.model import (
@@ -86,6 +88,32 @@ class TestConfigValidation:
     def test_negative_iteration_budget_rejected_by_one_rule(self, config):
         with pytest.raises(ConfigurationError, match=r"^max_iterations must be >= 0, got -1$"):
             config(max_iterations=-1)
+
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [
+            (SolverConfig, "population_size", 5.0),
+            (SolverConfig, "max_iterations", 2.5),
+            (SolverConfig, "seed", 1.5),
+            (GAConfig, "population_size", 5.0),
+            (GAConfig, "max_iterations", 2.5),
+            (GAConfig, "tournament_size", 2.0),
+            (GAConfig, "seed", 1.5),
+            (SAConfig, "steps_per_temperature", 2.5),
+            (SAConfig, "seed", 1.5),
+            (PSOConfig, "population_size", 5.0),
+            (PSOConfig, "max_iterations", 2.5),
+            (PSOConfig, "seed", 1.5),
+            (partial(GeneratorSpec, resource_count=2, job_count=3), "resource_count", 2.0),
+            (partial(GeneratorSpec, resource_count=2, job_count=3), "job_count", 3.5),
+            (partial(GeneratorSpec, resource_count=2, job_count=3), "seed", 1.5),
+            (partial(run_experiments, [], master_seed=0), "runs", 2.5),
+        ],
+    )
+    def test_every_count_and_seed_must_be_an_integer(self, config, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got {value}$"):
+            config(**{field: value})
+        config(**{field: np.int64(value)})
 
 
 class TestSharedBehaviors:

@@ -279,11 +279,17 @@ class TestTables:
                 instance_name="tiny",
             ),
         ]
-        text = benchstats.format_stat_table(summaries, "mean", {"tiny": "(2,6)"})
+        text = benchstats.format_report(summaries, {"tiny": "(2,6)"})
         assert "Fuzzy DE" in text and "SA" in text and "(2,6)" in text
 
     def test_relative_table_renders_average_column(self):
-        table = relative_performance(REPORTED_MEAN_MAKESPANS)
-        text = benchstats.format_relative_table(table)
-        assert "Average" in text
+        summaries = [
+            replace(small_summary(algorithm, instance), mean_makespan=mean)
+            for algorithm, row in REPORTED_MEAN_MAKESPANS.items()
+            for instance, mean in row.items()
+        ]
+        text = benchstats.format_report(summaries).split("Relative performance vs Fuzzy DE\n")[1]
+        lines = text.splitlines()
+        assert lines[0].endswith("Average")
+        assert "1.10010" in next(line for line in lines if line.startswith("GA "))
         assert "Fuzzy DE" in text

@@ -1,11 +1,14 @@
 import csv
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from gridsched import benchstats
+from gridsched import benchstats, datasets
 from gridsched.benchstats import make_spec, run_solver, write_traces
 from gridsched.cli import main
 from gridsched.datasets import GeneratorSpec, generate_instance, load_instance, save_instance
-from gridsched.model import brute_force_optimum
+from gridsched.model import GridInstance, brute_force_optimum
 
 
 @pytest.fixture
@@ -14,6 +17,13 @@ def instance_file(tmp_path):
     path = tmp_path / "r2_j6.json"
     save_instance(inst, path)
     return path
+
+
+class DiesInWorker(GridInstance):
+    """An instance whose unpickling, as a pool worker does with its task, ends that process."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
 
 
 class TestGen:
@@ -117,6 +127,26 @@ class TestBench:
         fuzzy_row = next(line for line in relative_lines if line.startswith("Fuzzy DE"))
         cells = fuzzy_row.split()[2:]
         assert all(float(cell) == 0.0 for cell in cells)
+
+    @pytest.mark.parametrize("algos", ["ga", "fuzzy-de"])
+    def test_single_algorithm_skips_the_relative_table(self, instance_file, tmp_path, capsys, algos):
+        assert main(["bench", str(instance_file), "--algos", algos, "--runs", "1",
+                     "--np", "6", "--iters", "2", "--out", str(tmp_path / "results")]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.endswith("\n\n(relative table skipped: needs a Fuzzy DE row "
+                               "and at least one other algorithm)\n")
+        assert "Relative performance" not in stdout
+
+    def test_dead_worker_raises_and_writes_no_csv(self, instance_file, tmp_path, monkeypatch):
+        inst = load_instance(instance_file)
+        monkeypatch.setattr(datasets, "fixture_suite",
+                            lambda: {"dies": DiesInWorker(inst.resources, inst.jobs)})
+        monkeypatch.setenv("GRIDSCHED_THREADS", "2")
+        out = tmp_path / "results"
+        with pytest.raises(BrokenProcessPool):
+            main(["bench", "--fixtures", "--algos", "ga", "--runs", "2", "--iters", "1",
+                  "--out", str(out)])
+        assert not out.exists()
 
     def test_no_instances_is_usage_error(self):
         assert main(["bench", "--algos", "fuzzy-de", "--runs", "1"]) == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -21,6 +22,7 @@ from gridsched.model import (
     batch_defuzzify,
     batch_fitness,
     brute_force_optimum,
+    completion_fitness,
     repair_stack,
 )
 from oracles import is_membership_matrix, naive_fitness, naive_makespan
@@ -83,6 +85,15 @@ class TestConstruction:
         assert twin == inst and hash(twin) == hash(inst)
         assert twin != make_instance([1.0, 2.0], [3.0, 5.0], ends=[math.inf, 9.0])
         assert "speeds" not in repr(inst)
+
+    def test_pickled_instance_keeps_read_only_arrays(self):
+        inst = make_instance([1.0, 2.0], [3.0, 4.0], ends=[math.inf, 9.0])
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and copy.windowed
+        for name in ("speeds", "start_times", "end_times", "lengths"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(inst, name))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[0] = 99.0
 
     def test_instance_requires_at_least_one_of_each(self):
         with pytest.raises(ValueError):
@@ -172,6 +183,26 @@ class TestFitness:
         overshoot = np.clip(completions - inst.end_times, 0.0, None).sum(axis=1)
         expected = completions.max(axis=1) + OVERSHOOT_PENALTY * overshoot
         np.testing.assert_array_equal(batch_fitness(inst, assignees), expected)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 13])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_completion_fitness_equals_batch_fitness(self, n, windowed):
+        rng = np.random.default_rng(n)
+        speeds = rng.uniform(0.5, 10.0, n)
+        lengths = rng.integers(1, 100, 30).astype(float)
+        starts = rng.uniform(0.0, 5.0, n) if windowed else np.zeros(n)
+        # Windows of 1-8 balanced makespans: at n = 8 some rows overshoot and some do not.
+        spans = rng.uniform(1.0, 8.0, n) * lengths.sum() / speeds.sum()
+        ends = starts + spans if windowed else np.full(n, math.inf)
+        inst = make_instance(speeds.tolist(), lengths.tolist(), starts.tolist(), ends.tolist())
+        assignees = rng.integers(0, n, size=(200, 30))
+        fitness = completion_fitness(inst)
+        scores = [
+            fitness((inst.start_times + np.bincount(row, weights=inst.lengths, minlength=n)
+                     / inst.speeds).tolist())
+            for row in assignees
+        ]
+        np.testing.assert_array_equal(scores, batch_fitness(inst, assignees))
 
 
 class TestDefuzzify:
