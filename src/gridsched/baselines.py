@@ -21,12 +21,7 @@ import numpy as np
 
 from gridsched import fuzzy_de, model
 from gridsched.fuzzy_de import RunResult, SolverConfig
-from gridsched.model import (
-    ConfigurationError,
-    GridInstance,
-    check_count,
-    check_seed,
-)
+from gridsched.model import GridInstance, check_count, check_real, check_seed
 
 
 @dataclass(frozen=True)
@@ -43,10 +38,8 @@ class GAConfig:
 
     def __post_init__(self) -> None:
         check_count("population_size", self.population_size, 2)
-        if not (0 <= self.crossover_rate <= 1):
-            raise ConfigurationError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
-        if not (0 <= self.mutation_rate <= 1):
-            raise ConfigurationError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
+        check_real("crossover_rate", self.crossover_rate, 0, 1)
+        check_real("mutation_rate", self.mutation_rate, 0, 1)
         check_count("tournament_size", self.tournament_size, 1)
         check_count("max_iterations", self.max_iterations, 0)
         check_seed(self.seed)
@@ -62,17 +55,10 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.initial_temperature) and self.initial_temperature > 0):
-            raise ConfigurationError(
-                f"initial_temperature must be positive, got {self.initial_temperature}"
-            )
-        if not (0 < self.cooling_rate < 1):
-            raise ConfigurationError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
+        check_real("initial_temperature", self.initial_temperature, 0, math.inf, True, True)
+        check_real("cooling_rate", self.cooling_rate, 0, 1, True, True)
         check_count("steps_per_temperature", self.steps_per_temperature, 1)
-        if not (0 < self.min_temperature < self.initial_temperature):
-            raise ConfigurationError(
-                f"min_temperature must sit in (0, initial_temperature), got {self.min_temperature}"
-            )
+        check_real("min_temperature", self.min_temperature, 0, self.initial_temperature, True, True)
         check_seed(self.seed)
 
 
@@ -89,9 +75,7 @@ class PSOConfig:
         check_count("population_size", self.population_size, 2)
         check_count("max_iterations", self.max_iterations, 0)
         for name in ("inertia_weight", "cognitive_coefficient", "social_coefficient"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be non-negative, got {value}")
+            check_real(name, getattr(self, name), 0, math.inf, open_high=True)
         check_seed(self.seed)
 
 

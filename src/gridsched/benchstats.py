@@ -211,6 +211,15 @@ class RelativeTable:
     averages: dict[str, float]
 
 
+def _check_covers(table: Mapping[str, Mapping[str, float]], instances: Sequence[str]) -> None:
+    """Reject a table whose rows do not each hold exactly the given instances."""
+    for algorithm, row in table.items():
+        if set(row) != set(instances):
+            raise ConfigurationError(
+                f"row {algorithm!r} covers {sorted(row)}, expected {sorted(instances)}"
+            )
+
+
 def relative_performance(
     means: Mapping[str, Mapping[str, float]], baseline: str = BASELINE_ALGORITHM
 ) -> RelativeTable:
@@ -223,13 +232,10 @@ def relative_performance(
     if len(means) < 2:
         raise ConfigurationError("means table needs at least one non-baseline row")
     instances = tuple(means[baseline])
+    _check_covers(means, instances)
     deltas: dict[str, dict[str, float]] = {}
     averages: dict[str, float] = {}
     for algorithm, row in means.items():
-        if set(row) != set(instances):
-            raise ConfigurationError(
-                f"row {algorithm!r} covers {sorted(row)}, expected {sorted(instances)}"
-            )
         delta_row = {inst: row[inst] - means[baseline][inst] for inst in instances}
         deltas[algorithm] = delta_row
         averages[algorithm] = sum(delta_row.values()) / len(instances)
@@ -301,6 +307,7 @@ def format_report(
     header = ["Algorithm"] + [(display_names or {}).get(inst, inst) for inst in instances]
     runs = results[0].runs if results else 0
     means = _pivot(results, lambda s: s.mean_makespan)
+    _check_covers(means, instances)
     blocks = []
     for title, table in (
         ("Mean makespan", means),

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from gridsched import benchstats, datasets, model
-from gridsched.benchstats import ALGORITHMS, make_spec, run_solver
+from gridsched.benchstats import ALGORITHMS, OVERRIDES, make_spec, run_solver
 from gridsched.datasets import (
     DEFAULT_LENGTH_RANGE,
     DEFAULT_SPEED_RANGE,
@@ -29,6 +29,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Solver overrides shared by solve and bench; dests are the OVERRIDES keys.
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--np", type=int, help="population size")
+    overrides.add_argument("--f", type=float, help="DE scaling factor")
+    overrides.add_argument("--cr", type=float, help="crossover rate")
+    overrides.add_argument("--iters", type=int, help="iteration count")
+
     gen = sub.add_parser("gen", help="generate a seeded instance file (or the fixture set)")
     gen.add_argument("-n", type=int, help="number of resources")
     gen.add_argument("-m", type=int, help="number of jobs")
@@ -42,28 +49,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output file (or directory with --fixtures)")
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="run one solver on one instance")
+    solve = sub.add_parser("solve", parents=[overrides], help="run one solver on one instance")
     solve.add_argument("instance", help="instance JSON file")
     solve.add_argument("--algo", choices=sorted(ALGORITHMS), default="fuzzy-de")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--np", type=int, dest="np_", help="population size")
-    solve.add_argument("--f", type=float, help="DE scaling factor")
-    solve.add_argument("--cr", type=float, help="crossover rate")
-    solve.add_argument("--iters", type=int, help="iteration count")
     solve.add_argument("--trace", help="write the best-so-far trace to this CSV file")
     solve.set_defaults(func=cmd_solve)
 
-    bench = sub.add_parser("bench", help="repeated-run comparison over instances")
+    bench = sub.add_parser(
+        "bench", parents=[overrides], help="repeated-run comparison over instances"
+    )
     bench.add_argument("instances", nargs="*", help="instance JSON files")
     bench.add_argument("--fixtures", action="store_true", help="include the four fixture pairs")
     bench.add_argument("--algos", default="all",
                        help="comma-separated algorithm list, or 'all'")
     bench.add_argument("--runs", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0, help="master seed; run i uses seed+i")
-    bench.add_argument("--np", type=int, dest="np_")
-    bench.add_argument("--f", type=float)
-    bench.add_argument("--cr", type=float)
-    bench.add_argument("--iters", type=int)
     bench.add_argument("--out", default="bench_results", help="directory for runs/traces CSVs")
     bench.set_defaults(func=cmd_bench)
 
@@ -108,7 +109,7 @@ def _print_schedule(makespan: float, assignment: model.Assignment) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = datasets.load_instance(args.instance)
-    spec = make_spec(args.algo, np=args.np_, f=args.f, cr=args.cr, iters=args.iters)
+    spec = make_spec(args.algo, **{name: getattr(args, name) for name in OVERRIDES})
     result = run_solver(instance, spec, args.seed)
     _print_schedule(result.best_makespan, result.best_assignment)
     if args.trace:
@@ -138,10 +139,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         instances[name] = datasets.load_instance(path)
     if not instances:
         raise ConfigurationError("bench needs at least one instance (give paths or --fixtures)")
-    specs = [
-        make_spec(selector, np=args.np_, f=args.f, cr=args.cr, iters=args.iters)
-        for selector in _bench_algorithms(args.algos)
-    ]
+    overrides = {name: getattr(args, name) for name in OVERRIDES}
+    specs = [make_spec(selector, **overrides) for selector in _bench_algorithms(args.algos)]
     cells = [(instance, spec, name) for spec in specs for name, instance in instances.items()]
     summaries = benchstats.run_experiments(
         cells, args.runs, args.seed, benchstats.default_workers()

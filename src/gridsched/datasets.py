@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gridsched.model import ConfigurationError, GridInstance, Job, Resource, check_count, check_seed
+from gridsched.model import (
+    ConfigurationError, GridInstance, Job, Resource, check_count, check_real, check_seed,
+)
 
 DEFAULT_SPEED_RANGE = (1.0, 10.0)
 DEFAULT_LENGTH_RANGE = (10.0, 100.0)
@@ -29,14 +31,6 @@ class MalformedDocumentError(ValueError):
 
 class SchemaError(ValueError):
     """The document parsed but violates the instance schema."""
-
-
-def _check_range(name: str, rng: tuple[float, float]) -> None:
-    lo, hi = rng
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise ConfigurationError(f"{name} must be a finite (lo, hi) pair with lo <= hi, got {rng}")
-    if lo <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {rng}")
 
 
 @dataclass(frozen=True)
@@ -53,19 +47,17 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         check_count("resource_count", self.resource_count, 1)
         check_count("job_count", self.job_count, 1)
-        _check_range("speed_range", self.speed_range)
-        _check_range("length_range", self.length_range)
+        for name in ("speed_range", "length_range"):
+            lo, hi = getattr(self, name)
+            check_real(f"{name} low", lo, 0, math.inf, True, True)
+            check_real(f"{name} high", hi, lo, math.inf, open_high=True)
         if self.window is not None:
             (start_lo, start_hi), (end_lo, end_hi) = self.window
-            if not (0 <= start_lo <= start_hi) or not math.isfinite(start_hi):
-                raise ConfigurationError(f"window start range invalid: {self.window[0]}")
-            if not (end_lo <= end_hi) or not math.isfinite(end_hi):
-                raise ConfigurationError(f"window end range invalid: {self.window[1]}")
+            check_real("window start low", start_lo, 0, math.inf, open_high=True)
+            check_real("window start high", start_hi, start_lo, math.inf, open_high=True)
             # Strict gap so every drawn window satisfies end > start.
-            if end_lo <= start_hi:
-                raise ConfigurationError(
-                    f"window end range must start above the start range, got {self.window}"
-                )
+            check_real("window end low", end_lo, start_hi, math.inf, True, True)
+            check_real("window end high", end_hi, end_lo, math.inf, open_high=True)
         check_seed(self.seed)
 
 

@@ -29,13 +29,7 @@ from typing import Callable
 import numpy as np
 
 from gridsched import model
-from gridsched.model import (
-    Assignment,
-    ConfigurationError,
-    GridInstance,
-    check_count,
-    check_seed,
-)
+from gridsched.model import Assignment, GridInstance, check_count, check_real, check_seed
 
 
 @dataclass(frozen=True)
@@ -56,10 +50,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 < self.scaling_factor <= 2):
-            raise ConfigurationError(f"scaling_factor must be in (0, 2], got {self.scaling_factor}")
-        if not (0 <= self.crossover_rate <= 1):
-            raise ConfigurationError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
+        check_real("scaling_factor", self.scaling_factor, 0, 2, open_low=True)
+        check_real("crossover_rate", self.crossover_rate, 0, 1)
         # Mutation draws three partners distinct from each other and the target.
         check_count("population_size", self.population_size, 4)
         check_count("max_iterations", self.max_iterations, 0)

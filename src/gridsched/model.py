@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,21 +38,40 @@ class ConfigurationError(ValueError):
     """A solver or generator configuration violates its invariants."""
 
 
-def check_count(name: str, value: int, minimum: int) -> None:
-    """Reject a count that is not an integer (numpy integers pass) or is below minimum."""
+def _check_integer(name: str, value: int) -> None:
     try:
         operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Reject a count that is not an integer (numpy integers pass) or is below minimum."""
+    _check_integer(name, value)
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_seed(seed: int) -> None:
     """Reject a seed that is not an integer fitting in 64 unsigned bits."""
+    _check_integer("seed", seed)
     if not (0 <= seed < 2**64):
         raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {seed}")
-    check_count("seed", seed, 0)
+
+
+def check_real(name: str, value: float, low: float, high: float,
+               open_low: bool = False, open_high: bool = False) -> None:
+    """Reject a value that is not a real number (numpy floats pass) or lies outside
+    [low, high], each end excluded if its open_ flag is set.  NaN lies in no
+    interval, and an open infinite end excludes infinity.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    above = low < value if open_low else low <= value
+    below = value < high if open_high else value <= high
+    if not (above and below):
+        interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+        raise ConfigurationError(f"{name} must be in {interval}, got {value}")
 
 
 class MalformedAssignmentError(ValueError):

@@ -61,6 +61,48 @@ WINDOW = ((0.0, 5.0), (20.0, 60.0))
 TIGHT_WINDOW = ((0.0, 5.0), (10.0, 20.0))
 
 
+def real_field(build, name, low, high, open_low, open_high, inside):
+    config = type(build(inside)).__name__
+    return pytest.param(build, name, low, high, open_low, open_high, inside, id=f"{config}.{name}")
+
+
+# Every real-valued setting: a config built with the value in that field, the
+# name its errors start with, its accepted interval and a value inside it.
+REAL_FIELDS = [
+    real_field(lambda v: SolverConfig(scaling_factor=v), "scaling_factor", 0, 2, True, False, 1),
+    real_field(lambda v: SolverConfig(crossover_rate=v), "crossover_rate", 0, 1, False, False, 1),
+    real_field(lambda v: GAConfig(crossover_rate=v), "crossover_rate", 0, 1, False, False, 1),
+    real_field(lambda v: GAConfig(mutation_rate=v), "mutation_rate", 0, 1, False, False, 0),
+    real_field(lambda v: SAConfig(initial_temperature=v), "initial_temperature",
+               0, math.inf, True, True, 1),
+    real_field(lambda v: SAConfig(cooling_rate=v), "cooling_rate", 0, 1, True, True, 0.5),
+    # The default initial_temperature, 50, bounds min_temperature.
+    real_field(lambda v: SAConfig(min_temperature=v), "min_temperature", 0, 50, True, True, 1),
+    real_field(lambda v: PSOConfig(inertia_weight=v), "inertia_weight",
+               0, math.inf, False, True, 1),
+    real_field(lambda v: PSOConfig(cognitive_coefficient=v), "cognitive_coefficient",
+               0, math.inf, False, True, 1),
+    real_field(lambda v: PSOConfig(social_coefficient=v), "social_coefficient",
+               0, math.inf, False, True, 1),
+    real_field(lambda v: GeneratorSpec(2, 2, speed_range=(v, 10.0)), "speed_range low",
+               0, math.inf, True, True, 1),
+    real_field(lambda v: GeneratorSpec(2, 2, speed_range=(1.0, v)), "speed_range high",
+               1.0, math.inf, False, True, 2),
+    real_field(lambda v: GeneratorSpec(2, 2, length_range=(v, 100.0)), "length_range low",
+               0, math.inf, True, True, 10),
+    real_field(lambda v: GeneratorSpec(2, 2, length_range=(10.0, v)), "length_range high",
+               10.0, math.inf, False, True, 20),
+    real_field(lambda v: GeneratorSpec(2, 2, window=((v, 5.0), (10.0, 20.0))), "window start low",
+               0, math.inf, False, True, 1),
+    real_field(lambda v: GeneratorSpec(2, 2, window=((1.0, v), (10.0, 20.0))), "window start high",
+               1.0, math.inf, False, True, 2),
+    real_field(lambda v: GeneratorSpec(2, 2, window=((0.0, 5.0), (v, 100.0))), "window end low",
+               5.0, math.inf, True, True, 10),
+    real_field(lambda v: GeneratorSpec(2, 2, window=((0.0, 5.0), (10.0, v))), "window end high",
+               10.0, math.inf, False, True, 20),
+]
+
+
 class TestConfigValidation:
     def test_ga_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -95,6 +137,7 @@ class TestConfigValidation:
             (SolverConfig, "population_size", 5.0),
             (SolverConfig, "max_iterations", 2.5),
             (SolverConfig, "seed", 1.5),
+            (SolverConfig, "seed", "1"),
             (GAConfig, "population_size", 5.0),
             (GAConfig, "max_iterations", 2.5),
             (GAConfig, "tournament_size", 2.0),
@@ -111,9 +154,27 @@ class TestConfigValidation:
         ],
     )
     def test_every_count_and_seed_must_be_an_integer(self, config, field, value):
-        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got {value}$"):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got {value!r}$"):
             config(**{field: value})
         config(**{field: np.int64(value)})
+
+    @pytest.mark.parametrize("build, name, low, high, open_low, open_high, inside", REAL_FIELDS)
+    def test_every_real_setting_is_checked_against_its_interval(
+        self, build, name, low, high, open_low, open_high, inside
+    ):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a real number, got '{inside}'$"):
+            build(str(inside))
+        with pytest.raises(ConfigurationError, match=f"^{name} must be in "):
+            build(math.nan)
+        for end, is_open in ((low, open_low), (high, open_high)):
+            if is_open:
+                with pytest.raises(ConfigurationError, match=f"^{name} must be in "):
+                    build(end)
+            else:
+                build(end)
+        build(np.float32(inside))
+        if isinstance(inside, int):
+            build(inside)
 
 
 class TestSharedBehaviors:

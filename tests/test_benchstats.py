@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridsched import benchstats
-from gridsched.baselines import SAConfig
+from gridsched.baselines import GAConfig, SAConfig
 from gridsched.benchstats import (
     ALGORITHMS,
     RUNS_CSV,
@@ -111,6 +111,10 @@ class TestRunExperiment:
     def test_rejects_zero_runs(self, tiny_instance):
         with pytest.raises(ConfigurationError):
             run_experiment(tiny_instance, quick_spec(), runs=0, master_seed=0)
+
+    def test_rejects_a_master_seed_that_is_not_an_integer(self, tiny_instance):
+        with pytest.raises(ConfigurationError, match="^seed must be an integer, got '1'$"):
+            run_experiments([(tiny_instance, quick_spec(), "tiny")], runs=1, master_seed="1")
 
     def test_solver_failure_reports_run_index(self, tiny_instance, monkeypatch):
         def exploding(instance, spec, seed):
@@ -293,3 +297,14 @@ class TestTables:
         assert lines[0].endswith("Average")
         assert "1.10010" in next(line for line in lines if line.startswith("GA "))
         assert "Fuzzy DE" in text
+
+    def test_missing_cell_rejected_before_any_table(self, tiny_instance, small_instance):
+        ga = SolverSpec("ga", GAConfig(population_size=4, max_iterations=3))
+        cells = [
+            (tiny_instance, quick_spec(), "a"),
+            (small_instance, quick_spec(), "b"),
+            (tiny_instance, ga, "a"),
+        ]
+        summaries = run_experiments(cells, runs=1, master_seed=0)
+        with pytest.raises(ConfigurationError, match=r"^row 'GA' covers \['a'\], expected \['a', 'b'\]$"):
+            benchstats.format_report(summaries)
