@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Before/after timings of the fitness kernel, SA, a DE generation, a PSO run and the oracle.
+"""Before/after timings of the kernels, solver steps and oracle, and a bit-identity check of runs.
 
     python scripts/bench_fitness.py --before OLD/src --after src --repeats 7
 
 Times `model.batch_fitness` at k = 1, 10 and 50 rows on the `r10_j50`
-fixture and on a 20 x 1000 instance, one SA run at a tenth of its default
+fixture and on a 20 x 1000 instance, `model.batch_defuzzify` on the
+repaired DE (population 10) and PSO (swarm 50) stacks of every fixture and
+of the 20 x 1000 instance, one SA run at a tenth of its default
 budget (cooling 0.98**10, seed 0) on each fixture, one fuzzy-DE generation
 of `fuzzy_de.evolve` at default settings on `r8_j60` and on the 20 x 1000
 instance, one fuzzy-PSO run at default settings but 50 iterations on
@@ -17,6 +19,14 @@ timed samples inside one.  `pso_minor_faults.*` is the count of minor page
 faults during one more PSO run, from `resource.getrusage(RUSAGE_SELF)` inside
 the side's subprocess.
 
+The `identical` section compares each solver's RunResults (assignment,
+makespan bits, trace bits, iterations) between the two sides by hash, over
+the four fixtures, the 20 x 1000 instance, a windowed 3 x 7 instance and
+instances with one resource and with one job, at seeds 0, 5 and 2**64 - 1.
+Runs use default settings, except on 20 x 1000, which gets a 25th of the
+budget as perfbench's `large` workload does.  `--repeats 0` runs only this
+check.
+
 Every sample is timed by perfbench's `refclock.ScaledClock`, so a figure is
 the time on a machine where perfbench's fixed reference task takes
 `refclock.REFERENCE_S`, and drift in the machine's speed cancels.  Prints JSON.
@@ -25,6 +35,7 @@ the time on a machine where perfbench's fixed reference task takes
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -41,6 +52,12 @@ SAMPLES = 5
 DE_GENERATIONS = {"r8_j60": 100, "20x1000": 20}
 # Iterations of one timed fuzzy-PSO run.
 PSO_ITERATIONS = {"r8_j60": 50, "20x1000": 20}
+# Population sizes of the default DE and PSO stacks, whose decoding is timed.
+DECODE_POPULATIONS = (10, 50)
+# Solver seeds of the identity check: the default, another, and the largest.
+IDENTITY_SEEDS = (0, 5, 2**64 - 1)
+# Budget divisor of the identity check on the 20 x 1000 instance.
+IDENTITY_LARGE_DIVISOR = 25
 
 
 def median_time(clock, fn, calls: int) -> float:
@@ -81,6 +98,14 @@ def measure() -> dict[str, float]:
                 clock, lambda: model.batch_fitness(instance, rows), KERNEL_CALLS
             )
             figures[f"batch_fitness_us.{name}.k{k}"] = seconds * 1e6
+    for name, instance in {**fixtures, "20x1000": instances["20x1000"]}.items():
+        for pop in DECODE_POPULATIONS:
+            shape = (pop, instance.resource_count, instance.job_count)
+            stack = model.repair_stack(np.random.default_rng(0).random(shape))
+            # About 10**6 cells per timed sample, as on the 20 x 1000 PSO stack.
+            calls = max(1, 10**6 // stack.size)
+            seconds = median_time(clock, lambda: model.batch_defuzzify(stack), calls)
+            figures[f"decode_us.{pop}x{shape[1]}x{shape[2]}"] = seconds * 1e6
     config = SAConfig(cooling_rate=SAConfig().cooling_rate ** 10, seed=0)
     for name, instance in fixtures.items():
         figures[f"sa_div10_ms.{name}"] = (
@@ -122,10 +147,46 @@ def measure() -> dict[str, float]:
     return figures
 
 
-def run_side(src: str) -> dict[str, float]:
+def run_digests() -> dict[str, dict]:
+    """Per solver: the number of identity-check runs and the sha256 of their RunResults."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SOLVERS, WINDOW, solver_specs
+
+    from gridsched import benchstats, datasets
+    from gridsched.datasets import GeneratorSpec
+
+    small = {
+        **datasets.fixture_suite(),
+        "3x7w": datasets.generate_instance(GeneratorSpec(3, 7, window=WINDOW, seed=15)),
+        "1x30": datasets.generate_instance(GeneratorSpec(1, 30, seed=1)),
+        "8x1": datasets.generate_instance(GeneratorSpec(8, 1, seed=1)),
+    }
+    large = datasets.generate_instance(GeneratorSpec(20, 1000, seed=2014))
+    cases = [(instance, solver_specs(1)) for instance in small.values()]
+    cases.append((large, solver_specs(IDENTITY_LARGE_DIVISOR)))
+    digests = {}
+    for solver in SOLVERS:
+        digest = hashlib.sha256()
+        runs = 0
+        for instance, specs in cases:
+            for seed in IDENTITY_SEEDS:
+                result = benchstats.run_solver(instance, specs[solver], seed)
+                record = (
+                    result.best_assignment.assignee,
+                    result.best_makespan.hex(),
+                    tuple(point.hex() for point in result.trace),
+                    result.iterations_run,
+                )
+                digest.update(repr(record).encode())
+                runs += 1
+        digests[solver] = {"runs": runs, "sha256": digest.hexdigest()}
+    return digests
+
+
+def run_side(src: str, mode: str = "--measure") -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
-        [sys.executable, __file__, "--measure"], env=env, check=True, capture_output=True, text=True
+        [sys.executable, __file__, mode], env=env, check=True, capture_output=True, text=True
     )
     return json.loads(done.stdout)
 
@@ -136,9 +197,13 @@ def main() -> int:
     parser.add_argument("--after", default="src", help="src directory of the later version")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--digest", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
         print(json.dumps(measure()))
+        return 0
+    if args.digest:
+        print(json.dumps(run_digests()))
         return 0
     if not args.before:
         parser.error("--before is required")
@@ -152,6 +217,17 @@ def main() -> int:
     result = {
         side: {key: statistics.median(r[key] for r in runs[side]) for key in runs[side][0]}
         for side in sides
+        if runs[side]
+    }
+    digests = {side: run_side(src, "--digest") for side, src in sides.items()}
+    result["identical"] = {
+        solver: {
+            "runs": before["runs"],
+            "before": before["sha256"][:16],
+            "after": digests["after"][solver]["sha256"][:16],
+            "same": before == digests["after"][solver],
+        }
+        for solver, before in digests["before"].items()
     }
     print(json.dumps(result, indent=1))
     return 0

@@ -288,12 +288,16 @@ def fuzzy_pso_solve(instance: GridInstance, config: PSOConfig) -> RunResult:
     for _ in range(config.max_iterations):
         pso_step(positions, velocities, pbest, best.genome, config, rng, scratch)
         fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
-        improved = fits < pbest_fits
-        # Row by row: copies only the improved particles, through no temporary.
-        for i in np.flatnonzero(improved):
-            pbest[i] = positions[i]
-        pbest_fits[improved] = fits[improved]
-        best.update(pbest_fits, pbest)
+        improved = np.flatnonzero(fits < pbest_fits)
+        if improved.size:
+            # Row by row: copies only the improved particles, through no temporary.
+            for i in improved:
+                pbest[i] = positions[i]
+            pbest_fits[improved] = fits[improved]
+            best.update(pbest_fits, pbest)
+        else:
+            # No personal best moved, so neither did the global one.
+            best.trace.append(best.fitness)
 
     assignee = model.batch_defuzzify(best.genome[None])[0]
     return best.result(assignee.tolist(), config.max_iterations)

@@ -33,6 +33,15 @@ class SchemaError(ValueError):
     """The document parsed but violates the instance schema."""
 
 
+def _pair(name: str, value: object) -> tuple:
+    """Unpack a (low, high) setting, or reject it by name when it is not a pair."""
+    try:
+        low, high = value
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be a (low, high) pair, got {value!r}") from None
+    return low, high
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters for one synthetic instance draw."""
@@ -48,11 +57,13 @@ class GeneratorSpec:
         check_count("resource_count", self.resource_count, 1)
         check_count("job_count", self.job_count, 1)
         for name in ("speed_range", "length_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = _pair(name, getattr(self, name))
             check_real(f"{name} low", lo, 0, math.inf, True, True)
             check_real(f"{name} high", hi, lo, math.inf, open_high=True)
         if self.window is not None:
-            (start_lo, start_hi), (end_lo, end_hi) = self.window
+            start, end = _pair("window", self.window)
+            start_lo, start_hi = _pair("window start", start)
+            end_lo, end_hi = _pair("window end", end)
             check_real("window start low", start_lo, 0, math.inf, open_high=True)
             check_real("window start high", start_hi, start_lo, math.inf, open_high=True)
             # Strict gap so every drawn window satisfies end > start.

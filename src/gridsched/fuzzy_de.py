@@ -16,8 +16,14 @@ takes the mutant in about 2 % of its slots, so the mutant is computed only
 at the taken slots and scattered into a copy of the population; the draws
 keep the dense form's order and shape, so every run is bit for bit that of
 dense mutants and np.where.  The crossover uniforms, the take mask and the
-trial stack are allocated once per run and refilled every generation.
-Repair, decoding and scoring stay dense, one call each per generation.
+trial stack are allocated once per run and refilled every generation, and so
+is a (pop, pop - 1) table of flat offsets from each member's slots to every
+other member's: a generation looks its partners' offsets up in it and reads
+all three partners' copies of the taken slots with one gather.  Repair,
+decoding and scoring stay dense, one call each per generation.  A generation
+in which no trial beats its target writes nothing back and only extends the
+trace: a tie keeps the parent, so neither the population nor the best can
+have changed.
 """
 
 from __future__ import annotations
@@ -114,14 +120,26 @@ class _Best:
         )
 
 
-def _partners(targets: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """DE/rand/1 partners (base, first, second) of each target, shape (k, 3).
+def _partner_table(size: int, cells: int) -> np.ndarray:
+    """Flat offsets between population members, shape (size, size - 1).
 
-    They are uniform, mutually distinct and distinct from the target: argsort
-    of iid uniforms is a random permutation of the other `size - 1` indices.
+    Entry [r, rank] is (p - r) * cells for p, the rank-th member other than r:
+    in the flat (size * cells) stack, partner p's copy of row r's slot lies
+    that far from it.
     """
-    order = np.argsort(rng.random((len(targets), size - 1)), axis=1)[:, :3]
-    return order + (order >= targets[:, None])
+    rank = np.arange(size - 1)
+    row = np.arange(size)[:, None]
+    return (rank + (rank >= row) - row) * cells
+
+
+def _partners(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """DE/rand/1 partners (base, first, second) of each row, as `table` offsets, shape (size, 3).
+
+    They are uniform, mutually distinct and distinct from the row: argsort of
+    iid uniforms is a random permutation of the other `size - 1` members.
+    """
+    order = np.argsort(rng.random(table.shape), axis=1)[:, :3]
+    return np.take_along_axis(table, order, axis=1)
 
 
 def evolve(
@@ -147,28 +165,33 @@ def evolve(
 
     rows = np.arange(len(genomes))
     cells = genomes[0].size
+    table = _partner_table(len(genomes), cells)
     uniforms = np.empty(genomes.shape)
     take = np.empty(genomes.shape, dtype=bool)
     trials = np.empty(genomes.shape, dtype=genomes.dtype)
     for _ in range(config.max_iterations):
-        # In the flat stack, partner p's copy of row r's slot is (p - r) * cells away.
-        shifts = (_partners(rows, len(genomes), rng) - rows[:, None]) * cells
+        shifts = _partners(table, rng)
         # Binomial crossover, then one forced slot per row.
         rng.random(out=uniforms)
         np.less(uniforms, config.crossover_rate, out=take)
         take.reshape(len(rows), -1)[rows, rng.integers(0, cells, size=len(rows))] = True
         taken = np.flatnonzero(take)
-        owners = taken // cells
-        flat = genomes.reshape(-1)
-        base, first, second = (flat[taken + shifts[owners, k]] for k in range(3))
+        # Rows base, first and second hold the partners' copies of each taken slot;
+        # take() gathers them far faster than fancy indexing does.
+        gather = shifts.T.take(taken // cells, axis=1) + taken
+        base, first, second = genomes.reshape(-1)[gather]
         np.copyto(trials, genomes)
         trials.reshape(-1)[taken] = base + config.scaling_factor * (first - second)
         repaired = repair(trials)
         trial_fits = model.batch_fitness(instance, decode(repaired))
         improved = trial_fits < fits
-        genomes[improved] = repaired[improved]
-        fits[improved] = trial_fits[improved]
-        best.update(fits, genomes)
+        if improved.any():
+            genomes[improved] = repaired[improved]
+            fits[improved] = trial_fits[improved]
+            best.update(fits, genomes)
+        else:
+            # Nothing changed, so neither did the best.
+            best.trace.append(best.fitness)
 
     return best.result(decode(best.genome[None])[0].tolist(), config.max_iterations)
 

@@ -30,6 +30,10 @@ DEFAULT_ENUMERATION_BUDGET = 20_000_000
 # prefix; h is the largest with resource_count ** h at most this.
 _ORACLE_SUFFIX_ASSIGNMENTS = 1 << 14
 
+# batch_defuzzify decodes stacks of at least this many cells by max and a
+# first-equal mask; np.argmax is faster below it (fixture-sized DE stacks).
+_MASK_DECODE_MIN_CELLS = 10_000
+
 # numpy sums a row of at least this many entries pairwise rather than in order.
 _PAIRWISE_SUM_MIN = 8
 
@@ -42,11 +46,18 @@ def _check_integer(name: str, value: int) -> None:
     try:
         operator.index(value)
     except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        integer = False
+    else:
+        # A bool is an int to Python, but as a setting it is a caller's mistake.
+        integer = not isinstance(value, bool)
+    if not integer:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_count(name: str, value: int, minimum: int) -> None:
-    """Reject a count that is not an integer (numpy integers pass) or is below minimum."""
+    """Reject a count that is not an integer (numpy integers pass, bools do not) or is
+    below minimum.
+    """
     _check_integer(name, value)
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
@@ -61,11 +72,11 @@ def check_seed(seed: int) -> None:
 
 def check_real(name: str, value: float, low: float, high: float,
                open_low: bool = False, open_high: bool = False) -> None:
-    """Reject a value that is not a real number (numpy floats pass) or lies outside
-    [low, high], each end excluded if its open_ flag is set.  NaN lies in no
-    interval, and an open infinite end excludes infinity.
+    """Reject a value that is not a real number (numpy floats pass, bools do not) or
+    lies outside [low, high], each end excluded if its open_ flag is set.  NaN lies
+    in no interval, and an open infinite end excludes infinity.
     """
-    if not isinstance(value, numbers.Real):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     above = low < value if open_low else low <= value
     below = value < high if open_high else value <= high
@@ -212,17 +223,17 @@ def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
     OVERSHOOT_PENALTY times the total availability-window overshoot.  With
     unbounded windows the fitness is exactly the makespan.
 
-    One flat bincount scores every row: row r's jobs land in bins r*n .. r*n+n-1,
-    each bin summed in job order as a per-row bincount would.  Entries must be
-    resource indices in [0, resource_count); they are not checked here
-    (:func:`assignment_fitness` checks them).
+    One flat bincount scores every row: row r's jobs land in bins r*n .. r*n+n-1
+    (the row's offset r*n is added to each entry), weighted by the job lengths
+    repeated once per row, so each bin is summed in job order as a per-row
+    bincount would.  Entries must be resource indices in [0, resource_count);
+    they are not checked here (:func:`assignment_fitness` checks them).
     """
     assignees = np.asarray(assignees, dtype=np.int64)
     k, n = len(assignees), instance.resource_count
-    bins = (assignees + n * np.arange(k)[:, None]).ravel()
-    cycles = np.bincount(
-        bins, weights=np.tile(instance.lengths, k), minlength=k * n
-    ).reshape(k, n)
+    bins = (assignees + np.arange(0, k * n, n)[:, None]).ravel()
+    weights = instance.lengths[None].repeat(k, 0).ravel()
+    cycles = np.bincount(bins, weights=weights, minlength=k * n).reshape(k, n)
     completions = instance.start_times + cycles / instance.speeds
     makespans = completions.max(axis=1)
     if not instance.windowed:
@@ -273,12 +284,12 @@ def repair_stack(stack: np.ndarray) -> np.ndarray:
     np.clip(stack, 0.0, 1.0, out=stack)
     n = stack.shape[-2]
     sums = stack.sum(axis=-2, keepdims=True)
-    dead = sums == 0.0
-    if dead.any():
+    if sums.all():
+        np.divide(stack, sums, out=stack)
+    else:
+        dead = sums == 0.0
         np.divide(stack, sums, out=stack, where=~dead)
         stack[:] = np.where(dead, 1.0 / n, stack)
-    else:
-        np.divide(stack, sums, out=stack)
     return stack
 
 
@@ -286,9 +297,28 @@ def batch_defuzzify(stack: np.ndarray) -> np.ndarray:
     """Per-job argmax over resources for a (..., resource_count, job_count) stack.
 
     Ties resolve to the lowest resource index, so the decoding depends only on
-    the within-column ordering of the membership values.
+    the within-column ordering of the membership values.  Entries must be
+    finite, as repair_stack guarantees: a column holding NaN decodes to the
+    out-of-range index resource_count on large stacks, and batch_fitness does
+    not check indices.
+
+    Below _MASK_DECODE_MIN_CELLS cells this is np.argmax.  On larger stacks,
+    where np.argmax over a non-last axis pays for a transposed copy, each
+    entry equal to its column's maximum is weighted n - i, and the largest
+    weight marks the first maximum: np.argmax's rule.  While n - i fits in a
+    byte the weights multiply the equality mask's own bytes in place, so the
+    decode allocates one byte per cell.
     """
-    return np.argmax(stack, axis=-2)
+    if stack.size < _MASK_DECODE_MIN_CELLS:
+        return np.argmax(stack, axis=-2)
+    n = stack.shape[-2]
+    hits = stack == stack.max(axis=-2, keepdims=True)
+    if n < 256:
+        hits = hits.view(np.uint8)
+        hits *= np.arange(n, 0, -1, dtype=np.uint8)[:, None]
+    else:
+        hits = hits * np.arange(n, 0, -1)[:, None]
+    return np.subtract(n, hits.max(axis=-2), dtype=np.intp)
 
 
 def _load_table(lengths: np.ndarray, n: int) -> np.ndarray:

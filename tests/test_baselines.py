@@ -156,6 +156,8 @@ class TestConfigValidation:
     def test_every_count_and_seed_must_be_an_integer(self, config, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got {value!r}$"):
             config(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got True$"):
+            config(**{field: True})
         config(**{field: np.int64(value)})
 
     @pytest.mark.parametrize("build, name, low, high, open_low, open_high, inside", REAL_FIELDS)
@@ -164,6 +166,8 @@ class TestConfigValidation:
     ):
         with pytest.raises(ConfigurationError, match=f"^{name} must be a real number, got '{inside}'$"):
             build(str(inside))
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a real number, got True$"):
+            build(True)
         with pytest.raises(ConfigurationError, match=f"^{name} must be in "):
             build(math.nan)
         for end, is_open in ((low, open_low), (high, open_high)):

@@ -34,6 +34,21 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigurationError):
             GeneratorSpec(2, 2, length_range=(-1.0, 4.0))
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("window", {"window": 5}),
+            ("speed_range", {"speed_range": (1.0,)}),
+            ("length_range", {"length_range": (1.0, 2.0, 3.0)}),
+            ("window", {"window": ((0.0, 5.0),)}),
+            ("window start", {"window": (5.0, (10.0, 20.0))}),
+            ("window end", {"window": ((0.0, 5.0), (10.0,))}),
+        ],
+    )
+    def test_rejects_ranges_and_windows_that_are_not_pairs(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a \\(low, high\\) pair"):
+            GeneratorSpec(2, 2, **kwargs)
+
     def test_rejects_overlapping_window_ranges(self):
         with pytest.raises(ConfigurationError):
             GeneratorSpec(2, 2, window=((0.0, 5.0), (5.0, 9.0)))

@@ -6,7 +6,7 @@ import pytest
 
 from gridsched import model
 from gridsched.datasets import GeneratorSpec, generate_instance
-from gridsched.fuzzy_de import SolverConfig, _partners, evolve, solve
+from gridsched.fuzzy_de import SolverConfig, _partner_table, _partners, evolve, solve
 from gridsched.model import (
     Assignment,
     ConfigurationError,
@@ -100,7 +100,9 @@ class TestPartners:
         targets = np.arange(size)
         seen = [set() for _ in targets]
         for seed in range(50):
-            partners = _partners(targets, size, np.random.default_rng(seed))
+            # With one cell per member, an offset is partner index minus target index.
+            offsets = _partners(_partner_table(size, 1), np.random.default_rng(seed))
+            partners = offsets + targets[:, None]
             assert partners.shape == (size, 3)
             for target, row in zip(targets.tolist(), partners.tolist()):
                 assert len(set(row)) == 3

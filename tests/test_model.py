@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
 from gridsched.model import (
+    _MASK_DECODE_MIN_CELLS,
     OVERSHOOT_PENALTY,
     Assignment,
     GridInstance,
@@ -242,6 +243,29 @@ class TestDefuzzify:
             rescaled = np.sqrt(values)
         repaired = repair_stack(rescaled)
         np.testing.assert_array_equal(batch_defuzzify(repaired), batch_defuzzify(values))
+
+    # Stacks just below and at the size where batch_defuzzify leaves np.argmax,
+    # and past it with n = 255 (the largest uint8 weight) and n = 256 (intp weights).
+    MASK_EDGE_SHAPES = [(9, 1111), (4, 25, 100), (2, 255, 20), (1, 256, 40)]
+
+    def test_mask_edge_shapes_straddle_the_threshold(self):
+        sizes = [math.prod(shape) for shape in self.MASK_EDGE_SHAPES]
+        assert sizes[0] == _MASK_DECODE_MIN_CELLS - 1
+        assert min(sizes[1:]) >= _MASK_DECODE_MIN_CELLS
+
+    @given(
+        st.sampled_from(MASK_EDGE_SHAPES)
+        | st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 8)),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_np_argmax(self, shape, steps, seed):
+        # Entries on a grid of `steps` levels tie often; a zero column repairs
+        # to the uniform column, where every entry ties.
+        raw = np.random.default_rng(seed).integers(0, steps + 1, size=shape) / steps
+        raw[..., 0] = 0.0
+        stack = repair_stack(raw)
+        np.testing.assert_array_equal(batch_defuzzify(stack), np.argmax(stack, axis=-2))
 
 
 class TestMembershipChecker:
