@@ -10,7 +10,7 @@ of the 20 x 1000 instance, one SA run at a tenth of its default
 budget (cooling 0.98**10, seed 0) on each fixture, one fuzzy-DE generation
 of `fuzzy_de.evolve` at default settings on `r8_j60` and on the 20 x 1000
 instance, one fuzzy-PSO run at default settings but 50 iterations on
-`r8_j60` and 20 on the 20 x 1000 instance, and one
+`r5_j100` and `r8_j60` and 20 on the 20 x 1000 instance, and one
 `model.brute_force_optimum` call on `r3_j13` and on generated 4 x 10 and
 2 x 20 instances (seed 11).  Each side runs in its own subprocess with only
 its `src` directory on the import path, and the sides alternate `--repeats`
@@ -50,8 +50,9 @@ KERNEL_CALLS = 200
 SAMPLES = 5
 # Generations per timed evolve call; a figure is one call's time over these.
 DE_GENERATIONS = {"r8_j60": 100, "20x1000": 20}
-# Iterations of one timed fuzzy-PSO run.
-PSO_ITERATIONS = {"r8_j60": 50, "20x1000": 20}
+# Iterations of one timed fuzzy-PSO run.  The default swarm on r5_j100 is
+# 25 000 cells, the largest fixture swarm, and still one block of pso_step.
+PSO_ITERATIONS = {"r5_j100": 50, "r8_j60": 50, "20x1000": 20}
 # Population sizes of the default DE and PSO stacks, whose decoding is timed.
 DECODE_POPULATIONS = (10, 50)
 # Solver seeds of the identity check: the default, another, and the largest.
@@ -127,7 +128,7 @@ def measure() -> dict[str, float]:
 
         seconds = median_time(clock, run_generations, 1) / generations
         figures[f"de_generation_ms.{name}"] = seconds * 1e3
-    for name, instance in de_instances.items():
+    for name, instance in {"r5_j100": fixtures["r5_j100"], **de_instances}.items():
         config = PSOConfig(max_iterations=PSO_ITERATIONS[name])
         run_swarm = lambda: fuzzy_pso_solve(instance, config)
         figures[f"pso_run_ms.{name}"] = median_time(clock, run_swarm, 1) * 1e3

@@ -8,11 +8,17 @@ the same number of fitness evaluations per run as DE at its defaults
 
 Fuzzy PSO updates one (swarm, n, m) stack of positions and one of velocities
 in place; its personal bests and the two scratch stacks of pso_step are
-allocated once per run, so a step allocates no swarm-sized float array.
+allocated once per run, so a step allocates no swarm-sized float array.  The
+scratch stacks hold one block of particles, of at most _PSO_BLOCK_CELLS cells,
+and a step updates and repairs the swarm block by block while each block is
+still in cache.  Its draws keep the whole-swarm order, so runs are bit for bit
+those of a whole-swarm step.  More than one block needs a bit generator with
+`advance`, as the PCG64 of np.random.default_rng has.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -22,6 +28,11 @@ import numpy as np
 from gridsched import fuzzy_de, model
 from gridsched.fuzzy_de import RunResult, SolverConfig
 from gridsched.model import GridInstance, check_count, check_real, check_seed
+
+# fuzzy_pso_solve steps the swarm in blocks of particles of at most this many
+# cells (one particle if a particle is larger), so that a block's stacks stay in
+# a core's L2 cache through the step; every fixture-sized swarm is one block.
+_PSO_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -234,6 +245,33 @@ def crisp_de_solve(instance: GridInstance, config: SolverConfig) -> RunResult:
     return fuzzy_de.evolve(instance, positions, config, rng, reflect, decode, started)
 
 
+def _move_block(
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    pbest: np.ndarray,
+    gbest: np.ndarray,
+    config: PSOConfig,
+    cognitive: np.random.Generator,
+    social: np.random.Generator,
+    terms: np.ndarray,
+    diffs: np.ndarray,
+) -> None:
+    """pso_step's update and repair of one block, r1 drawn from `cognitive`, r2 from `social`."""
+    cognitive.random(out=terms)
+    terms *= config.cognitive_coefficient
+    np.subtract(pbest, positions, out=diffs)
+    terms *= diffs
+    velocities *= config.inertia_weight
+    velocities += terms
+    social.random(out=terms)
+    terms *= config.social_coefficient
+    np.subtract(gbest, positions, out=diffs)
+    terms *= diffs
+    velocities += terms
+    positions += velocities
+    model.repair_stack(positions)
+
+
 def pso_step(
     positions: np.ndarray,
     velocities: np.ndarray,
@@ -247,26 +285,39 @@ def pso_step(
 
     `velocities` becomes w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with the
     float operations in that order, and `positions` becomes repair(x + v).
-    The full cognitive uniforms r1 are drawn before the social ones r2.
-    `scratch` is a (2, swarm, n, m) float64 buffer whose contents are
+    `scratch` is a (2, block, n, m) float64 buffer whose contents are
     overwritten, so a step allocates no stack-sized float array.  Returns
     `positions` and `velocities`.  With zero velocity and positions equal to
     both bests, particles stay put.
+
+    When block >= swarm the whole stack is updated at once: all of the
+    cognitive uniforms r1 are drawn from `rng`, then all of the social ones
+    r2, and the stack is repaired once.  Otherwise the swarm is updated and
+    repaired in consecutive blocks of `block` particles (the last may be
+    shorter), in particle order.  Each block draws its r1 from `rng` and its
+    r2 from a copy of `rng` advanced past all of r1, and `rng` then takes the
+    copy's position, so the draws, the results and `rng`'s state afterwards
+    are bit for bit those of the whole-stack update.  This needs a bit
+    generator with `advance`, such as the PCG64 of np.random.default_rng.
     """
     terms, diffs = scratch
-    rng.random(out=terms)
-    terms *= config.cognitive_coefficient
-    np.subtract(pbest, positions, out=diffs)
-    terms *= diffs
-    velocities *= config.inertia_weight
-    velocities += terms
-    rng.random(out=terms)
-    terms *= config.social_coefficient
-    np.subtract(gbest, positions, out=diffs)
-    terms *= diffs
-    velocities += terms
-    positions += velocities
-    model.repair_stack(positions)
+    block = len(terms)
+    if block >= len(positions):
+        _move_block(positions, velocities, pbest, gbest, config, rng, rng, terms, diffs)
+        return positions, velocities
+    state = rng.bit_generator.state
+    social = copy.deepcopy(rng)
+    social.bit_generator.advance(positions.size)
+    for lo in range(0, len(positions), block):
+        hi = lo + block
+        count = len(positions[lo:hi])
+        _move_block(
+            positions[lo:hi], velocities[lo:hi], pbest[lo:hi], gbest, config,
+            rng, social, terms[:count], diffs[:count],
+        )
+    # advance drops a buffered 32-bit half draw; doubles neither use nor make one.
+    state["state"] = social.bit_generator.state["state"]
+    rng.bit_generator.state = state
     return positions, velocities
 
 
@@ -282,7 +333,8 @@ def fuzzy_pso_solve(instance: GridInstance, config: PSOConfig) -> RunResult:
     fits = model.batch_fitness(instance, model.batch_defuzzify(positions))
     pbest = positions.copy()
     pbest_fits = fits.copy()
-    scratch = np.empty((2, *positions.shape))
+    block = min(swarm, max(1, _PSO_BLOCK_CELLS // (n * m)))
+    scratch = np.empty((2, block, n, m))
     best = fuzzy_de._Best(pbest_fits, pbest, started)
 
     for _ in range(config.max_iterations):

@@ -344,8 +344,9 @@ def brute_force_optimum(
     plus OVERSHOOT_PENALTY times the total window overshoot, which is plain
     makespan when every window is unbounded.  The returned value is
     batch_fitness of the returned assignment.  Ties resolve to the
-    lexicographically smallest assignment vector.  Raises OracleBudgetError
-    when resource_count ** job_count exceeds the budget.
+    lexicographically smallest assignment vector.  Raises ConfigurationError
+    unless the budget is an integer of at least 1, and OracleBudgetError when
+    resource_count ** job_count exceeds it.
 
     Every assignment is scored, without pruning, from two tables of
     per-resource cycle loads: one for every assignment of the last h jobs
@@ -355,6 +356,7 @@ def brute_force_optimum(
     batch_fitness's own formula, so with integer lengths the result is bit for
     bit the lexicographically first minimizer of batch_fitness.
     """
+    check_count("budget", budget, 1)
     n = instance.resource_count
     m = instance.job_count
     total = n**m

@@ -8,6 +8,7 @@ import pytest
 
 from gridsched import model
 from gridsched.baselines import (
+    _PSO_BLOCK_CELLS,
     one_point_crossover,
     GAConfig,
     PSOConfig,
@@ -631,6 +632,10 @@ PSO_IDENTITY_CASES = [
     pytest.param(
         GeneratorSpec(20, 1000, seed=2014), 5, {"max_iterations": 20}, id="large_20x1000"
     ),
+    # Blocks of 3 particles: 16 full blocks and a last one of 2.
+    pytest.param(
+        GeneratorSpec(10, 1000, seed=2014), 5, {"max_iterations": 20}, id="blocks_10x1000"
+    ),
     pytest.param(GeneratorSpec(3, 7, window=WINDOW, seed=15), 5, {}, id="w3x7_s15"),
     pytest.param(GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3), 5, {}, id="w12x40_s3"),
     pytest.param(GeneratorSpec(1, 7, seed=13), 5, {}, id="n1"),
@@ -783,6 +788,40 @@ class TestFuzzyPSO:
         np.testing.assert_array_equal(new_vel, expected_vel)
         np.testing.assert_array_equal(new_pos, expected_pos)
 
+    @pytest.mark.parametrize(
+        "shape, block",
+        [
+            ((5, 3, 7), 2),  # blocks of 2, 2 and 1 particles
+            ((3, 9, 4000), 1),  # 36 000 cells a particle, more than _PSO_BLOCK_CELLS
+            ((2, 4, 30), 1),
+        ],
+        ids=["partial_last_block", "particle_over_block_cells", "swarm2"],
+    )
+    def test_blocked_step_equals_one_block_step_bit_for_bit(self, shape, block):
+        rng = np.random.default_rng(9)
+        positions = model.repair_stack(rng.random(shape))
+        velocities = rng.normal(size=shape)
+        pbest = model.repair_stack(rng.random(shape))
+        gbest = pbest[1].copy()
+
+        def step(particles_per_block):
+            draws = np.random.default_rng(4)
+            # A buffered 32-bit half draw must survive the step too.
+            draws.integers(0, 10, dtype=np.int32)
+            pos, vel = pso_step(
+                positions.copy(), velocities.copy(), pbest, gbest, PSOConfig(), draws,
+                np.empty((2, particles_per_block, *shape[1:])),
+            )
+            return pos, vel, draws
+
+        whole_pos, whole_vel, whole_draws = step(shape[0])
+        pos, vel, draws = step(block)
+        np.testing.assert_array_equal(vel, whole_vel)
+        np.testing.assert_array_equal(pos, whole_pos)
+        assert draws.bit_generator.state == whole_draws.bit_generator.state
+        assert draws.integers(0, 10, dtype=np.int32) == whole_draws.integers(0, 10, dtype=np.int32)
+        assert draws.random() == whole_draws.random()
+
     def test_step_allocates_no_stack_sized_temporary(self):
         rng = np.random.default_rng(0)
         shape = (50, 20, 1000)
@@ -812,6 +851,28 @@ class TestFuzzyPSO:
         fuzzy_pso_solve(instance, PSOConfig(population_size=7, max_iterations=30, seed=5))
         # The initial swarm, then the whole (swarm, n, m) stack once per step.
         assert shapes == [(7, 3, 13)] * 31
+
+    def test_repairs_consecutive_blocks_once_per_step(self, monkeypatch):
+        instance = generate_instance(GeneratorSpec(10, 1000, seed=2014))
+        cells = instance.resource_count * instance.job_count
+        block = _PSO_BLOCK_CELLS // cells
+        swarm = 2 * block + 1
+        assert 1 < block < swarm
+        original = model.repair_stack
+        calls = []
+
+        def recording(stack):
+            calls.append((stack.__array_interface__["data"][0], len(stack)))
+            return original(stack)
+
+        monkeypatch.setattr(model, "repair_stack", recording)
+        fuzzy_pso_solve(instance, PSOConfig(population_size=swarm, max_iterations=4, seed=5))
+        # The initial swarm is the positions stack; then each step repairs its
+        # consecutive block views, the last one partial, in particle order.
+        (start, length), *steps = calls
+        assert length == swarm
+        blocks = [(start + lo * cells * 8, min(block, swarm - lo)) for lo in range(0, swarm, block)]
+        assert steps == blocks * 4
 
     def test_reaches_oracle_neighborhood(self, tiny_instance):
         _, optimum = brute_force_optimum(tiny_instance)

@@ -248,6 +248,9 @@ class TestOracle:
     def test_budget_flag_respected(self, instance_file):
         assert main(["oracle", "--budget", "10", str(instance_file)]) == 3
 
+    def test_negative_budget_is_a_usage_error(self, instance_file):
+        assert main(["oracle", "--budget", "-1", str(instance_file)]) == 2
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

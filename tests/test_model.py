@@ -13,6 +13,7 @@ from gridsched.model import (
     _MASK_DECODE_MIN_CELLS,
     OVERSHOOT_PENALTY,
     Assignment,
+    ConfigurationError,
     GridInstance,
     Job,
     MalformedAssignmentError,
@@ -356,6 +357,12 @@ class TestBruteForce:
         inst = generate_instance(GeneratorSpec(10, 50, seed=1))
         with pytest.raises(OracleBudgetError):
             brute_force_optimum(inst)
+
+    @pytest.mark.parametrize("budget", [-1, 0, True, 2.5])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        inst = make_instance([1.0], [1.0])
+        with pytest.raises(ConfigurationError, match="budget"):
+            brute_force_optimum(inst, budget=budget)
 
     def test_beats_1000_random_assignments(self, tiny_instance):
         _, optimum = brute_force_optimum(tiny_instance)
