@@ -7,25 +7,30 @@ Times `model.batch_fitness` at k = 1, 10 and 50 rows on the `r10_j50`
 fixture and on a 20 x 1000 instance, `model.batch_defuzzify` on the
 repaired DE (population 10) and PSO (swarm 50) stacks of every fixture and
 of the 20 x 1000 instance, one SA run at a tenth of its default
-budget (cooling 0.98**10, seed 0) on each fixture, one fuzzy-DE generation
+budget (cooling 0.98**10, seed 0) on each fixture and on generated windowed
+3 x 7, 5 x 12 and 12 x 40 instances, one fuzzy-DE generation
 of `fuzzy_de.evolve` at default settings on `r8_j60` and on the 20 x 1000
 instance, one fuzzy-PSO run at default settings but 50 iterations on
 `r5_j100` and `r8_j60` and 20 on the 20 x 1000 instance, and one
-`model.brute_force_optimum` call on `r3_j13` and on generated 4 x 10 and
-2 x 20 instances (seed 11).  Each side runs in its own subprocess with only
-its `src` directory on the import path, and the sides alternate `--repeats`
-times; a figure is the median over those subprocesses of the median of the
-timed samples inside one.  `pso_minor_faults.*` is the count of minor page
-faults during one more PSO run, from `resource.getrusage(RUSAGE_SELF)` inside
-the side's subprocess.
+`model.brute_force_optimum` call on `r3_j13`, on generated 4 x 10 and
+2 x 20 instances (seed 11) and on a generated windowed 9 x 6 instance.  Each
+side runs in its own subprocess with only its `src` directory on the import
+path, and the sides alternate `--repeats` times; a figure is the median over
+those subprocesses of the median of the timed samples inside one.
+`pso_minor_faults.*` is the count of minor page faults during as many
+`baselines.pso_step` calls as the timed PSO run makes, on default-size
+stacks allocated and stepped once before counting starts, from
+`resource.getrusage(RUSAGE_SELF)` inside the side's subprocess; so it counts
+the step's own allocations only, and reads 0 while malloc serves them from
+memory an earlier step freed.
 
 The `identical` section compares each solver's RunResults (assignment,
-makespan bits, trace bits, iterations) between the two sides by hash, over
-the four fixtures, the 20 x 1000 instance, a windowed 3 x 7 instance and
-instances with one resource and with one job, at seeds 0, 5 and 2**64 - 1.
-Runs use default settings, except on 20 x 1000, which gets a 25th of the
-budget as perfbench's `large` workload does.  `--repeats 0` runs only this
-check.
+makespan bits, trace bits, iterations) between the two sides by hash, case
+by case: the four fixtures, the 20 x 1000 instance, windowed 3 x 7 and
+12 x 40 instances and instances with one resource and with one job, each at
+seeds 0, 5 and 2**64 - 1.  Runs use default settings, except on 20 x 1000,
+which gets a 25th of the budget as perfbench's `large` workload does.
+`--repeats 0` runs only this check.
 
 Every sample is timed by perfbench's `refclock.ScaledClock`, so a figure is
 the time on a machine where perfbench's fixed reference task takes
@@ -59,6 +64,9 @@ DECODE_POPULATIONS = (10, 50)
 IDENTITY_SEEDS = (0, 5, 2**64 - 1)
 # Budget divisor of the identity check on the 20 x 1000 instance.
 IDENTITY_LARGE_DIVISOR = 25
+# Window ranges ((start low, start high), (end low, end high)) that most
+# resources overrun, so the overshoot sums many terms.
+TIGHT_WINDOW = ((0.0, 5.0), (10.0, 20.0))
 
 
 def median_time(clock, fn, calls: int) -> float:
@@ -77,6 +85,8 @@ def measure() -> dict[str, float]:
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from refclock import ScaledClock
+
+    from workloads import WINDOW
 
     from gridsched import datasets, fuzzy_de, model
     from gridsched.baselines import PSOConfig, SAConfig, fuzzy_pso_solve, sa_solve
@@ -108,7 +118,16 @@ def measure() -> dict[str, float]:
             seconds = median_time(clock, lambda: model.batch_defuzzify(stack), calls)
             figures[f"decode_us.{pop}x{shape[1]}x{shape[2]}"] = seconds * 1e6
     config = SAConfig(cooling_rate=SAConfig().cooling_rate ** 10, seed=0)
-    for name, instance in fixtures.items():
+    windowed = {
+        "w3x7": GeneratorSpec(3, 7, window=WINDOW, seed=15),
+        "w5x12": GeneratorSpec(5, 12, window=TIGHT_WINDOW, seed=1),
+        "w12x40": GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3),
+    }
+    sa_instances = {
+        **fixtures,
+        **{name: datasets.generate_instance(spec) for name, spec in windowed.items()},
+    }
+    for name, instance in sa_instances.items():
         figures[f"sa_div10_ms.{name}"] = (
             median_time(clock, lambda: sa_solve(instance, config), 1) * 1e3
         )
@@ -132,15 +151,12 @@ def measure() -> dict[str, float]:
         config = PSOConfig(max_iterations=PSO_ITERATIONS[name])
         run_swarm = lambda: fuzzy_pso_solve(instance, config)
         figures[f"pso_run_ms.{name}"] = median_time(clock, run_swarm, 1) * 1e3
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        run_swarm()
-        figures[f"pso_minor_faults.{name}"] = (
-            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        )
+        figures[f"pso_minor_faults.{name}"] = pso_step_faults(instance, config)
     oracle_instances = {
         "r3_j13": fixtures["r3_j13"],
         "4x10": datasets.generate_instance(GeneratorSpec(4, 10, seed=11)),
         "2x20": datasets.generate_instance(GeneratorSpec(2, 20, seed=11)),
+        "w9x6": datasets.generate_instance(GeneratorSpec(9, 6, window=TIGHT_WINDOW, seed=3)),
     }
     for name, instance in oracle_instances.items():
         seconds = median_time(clock, lambda: model.brute_force_optimum(instance), 1)
@@ -148,8 +164,32 @@ def measure() -> dict[str, float]:
     return figures
 
 
+def pso_step_faults(instance, config) -> int:
+    """Minor page faults of config.max_iterations pso_step calls on preallocated stacks."""
+    import numpy as np
+
+    from gridsched import baselines, model
+
+    rng = np.random.default_rng(0)
+    n, m = instance.resource_count, instance.job_count
+    swarm = config.population_size
+    positions = model.repair_stack(rng.random((swarm, n, m)))
+    velocities = np.zeros_like(positions)
+    pbest = model.repair_stack(rng.random((swarm, n, m)))
+    gbest = pbest[0].copy()
+    block = min(swarm, max(1, baselines._PSO_BLOCK_CELLS // (n * m)))
+    scratch = np.empty((2, block, n, m))
+    step = lambda: baselines.pso_step(positions, velocities, pbest, gbest, config, rng, scratch)
+    # One step touches every page of the stacks before counting starts.
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(config.max_iterations):
+        step()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
 def run_digests() -> dict[str, dict]:
-    """Per solver: the number of identity-check runs and the sha256 of their RunResults."""
+    """Per case and solver: the number of identity-check runs and the sha256 of their RunResults."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import SOLVERS, WINDOW, solver_specs
 
@@ -159,17 +199,18 @@ def run_digests() -> dict[str, dict]:
     small = {
         **datasets.fixture_suite(),
         "3x7w": datasets.generate_instance(GeneratorSpec(3, 7, window=WINDOW, seed=15)),
+        "12x40w": datasets.generate_instance(GeneratorSpec(12, 40, window=TIGHT_WINDOW, seed=3)),
         "1x30": datasets.generate_instance(GeneratorSpec(1, 30, seed=1)),
         "8x1": datasets.generate_instance(GeneratorSpec(8, 1, seed=1)),
     }
     large = datasets.generate_instance(GeneratorSpec(20, 1000, seed=2014))
-    cases = [(instance, solver_specs(1)) for instance in small.values()]
-    cases.append((large, solver_specs(IDENTITY_LARGE_DIVISOR)))
+    cases = {name: (instance, solver_specs(1)) for name, instance in small.items()}
+    cases["20x1000"] = (large, solver_specs(IDENTITY_LARGE_DIVISOR))
     digests = {}
-    for solver in SOLVERS:
-        digest = hashlib.sha256()
-        runs = 0
-        for instance, specs in cases:
+    for case, (instance, specs) in cases.items():
+        digests[case] = {}
+        for solver in SOLVERS:
+            digest = hashlib.sha256()
             for seed in IDENTITY_SEEDS:
                 result = benchstats.run_solver(instance, specs[solver], seed)
                 record = (
@@ -179,8 +220,7 @@ def run_digests() -> dict[str, dict]:
                     result.iterations_run,
                 )
                 digest.update(repr(record).encode())
-                runs += 1
-        digests[solver] = {"runs": runs, "sha256": digest.hexdigest()}
+            digests[case][solver] = {"runs": len(IDENTITY_SEEDS), "sha256": digest.hexdigest()}
     return digests
 
 
@@ -222,13 +262,16 @@ def main() -> int:
     }
     digests = {side: run_side(src, "--digest") for side, src in sides.items()}
     result["identical"] = {
-        solver: {
-            "runs": before["runs"],
-            "before": before["sha256"][:16],
-            "after": digests["after"][solver]["sha256"][:16],
-            "same": before == digests["after"][solver],
+        case: {
+            solver: {
+                "runs": before["runs"],
+                "before": before["sha256"][:16],
+                "after": digests["after"][case][solver]["sha256"][:16],
+                "same": before == digests["after"][case][solver],
+            }
+            for solver, before in solvers.items()
         }
-        for solver, before in digests["before"].items()
+        for case, solvers in digests["before"].items()
     }
     print(json.dumps(result, indent=1))
     return 0

@@ -156,13 +156,6 @@ def _parse_decimal(entry: dict, key: str, where: str) -> float:
         raise SchemaError(f"{where}: field '{key}' is not a decimal: {value!r}") from exc
 
 
-def _parse_id(entry: dict, where: str) -> int:
-    value = entry.get("id")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}: field 'id' must be an integer, got {value!r}")
-    return value
-
-
 def document_to_instance(doc: object) -> GridInstance:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -179,7 +172,7 @@ def document_to_instance(doc: object) -> GridInstance:
         try:
             resources.append(
                 Resource(
-                    id=_parse_id(entry, where),
+                    id=entry.get("id"),
                     speed=_parse_decimal(entry, "speed", where),
                     start_time=_parse_decimal(entry, "start_time", where),
                     end_time=end,
@@ -195,7 +188,7 @@ def document_to_instance(doc: object) -> GridInstance:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: must be an object")
         try:
-            jobs.append(Job(id=_parse_id(entry, where), length=_parse_decimal(entry, "length", where)))
+            jobs.append(Job(id=entry.get("id"), length=_parse_decimal(entry, "length", where)))
         except SchemaError:
             raise
         except ValueError as exc:

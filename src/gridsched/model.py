@@ -34,9 +34,6 @@ _ORACLE_SUFFIX_ASSIGNMENTS = 1 << 14
 # first-equal mask; np.argmax is faster below it (fixture-sized DE stacks).
 _MASK_DECODE_MIN_CELLS = 10_000
 
-# numpy sums a row of at least this many entries pairwise rather than in order.
-_PAIRWISE_SUM_MIN = 8
-
 
 class ConfigurationError(ValueError):
     """A solver or generator configuration violates its invariants."""
@@ -105,8 +102,8 @@ class Job:
     length: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.length) or self.length <= 0:
-            raise ValueError(f"job {self.id}: length must be a positive real, got {self.length}")
+        check_count("job id", self.id, 0)
+        check_real(f"job {self.id} length", self.length, 0, math.inf, True, True)
 
 
 @dataclass(frozen=True)
@@ -123,14 +120,11 @@ class Resource:
     end_time: float = math.inf
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.speed) or self.speed <= 0:
-            raise ValueError(f"resource {self.id}: speed must be a positive real, got {self.speed}")
-        if not math.isfinite(self.start_time) or self.start_time < 0:
-            raise ValueError(f"resource {self.id}: start_time must be non-negative, got {self.start_time}")
-        if math.isnan(self.end_time) or self.end_time <= self.start_time:
-            raise ValueError(
-                f"resource {self.id}: end_time must exceed start_time, got {self.end_time}"
-            )
+        check_count("resource id", self.id, 0)
+        name = f"resource {self.id}"
+        check_real(f"{name} speed", self.speed, 0, math.inf, True, True)
+        check_real(f"{name} start_time", self.start_time, 0, math.inf, open_high=True)
+        check_real(f"{name} end_time", self.end_time, self.start_time, math.inf, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -220,8 +214,9 @@ def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
     """Penalized makespan for each row of a (k, job_count) assignment array.
 
     This is the one fitness path shared by every solver: makespan plus
-    OVERSHOOT_PENALTY times the total availability-window overshoot.  With
-    unbounded windows the fitness is exactly the makespan.
+    OVERSHOOT_PENALTY times the total availability-window overshoot, summed
+    over resources in index order.  With unbounded windows the fitness is
+    exactly the makespan.
 
     One flat bincount scores every row: row r's jobs land in bins r*n .. r*n+n-1
     (the row's offset r*n is added to each entry), weighted by the job lengths
@@ -239,7 +234,9 @@ def batch_fitness(instance: GridInstance, assignees: np.ndarray) -> np.ndarray:
     if not instance.windowed:
         # Every overshoot is exactly 0.0, so the penalty adds nothing.
         return makespans
-    overshoot = np.clip(completions - instance.end_times, 0.0, None).sum(axis=1)
+    excess = np.clip(completions - instance.end_times, 0.0, None)
+    # accumulate adds in index order; sum(axis=1) would add 8 or more pairwise.
+    overshoot = np.add.accumulate(excess, axis=1, out=excess)[:, -1]
     return makespans + OVERSHOOT_PENALTY * overshoot
 
 
@@ -247,19 +244,20 @@ def completion_fitness(instance: GridInstance) -> Callable[[list[float]], float]
     """batch_fitness's formula for one list of per-resource completion times.
 
     Without windows that is the builtin max.  With windows it adds the
-    overshoot penalty, summed by numpy in batch_fitness's order, whenever some
-    completion passes its window's end; otherwise the clip-sum is exactly 0.
+    overshoot penalty, summed over the resources past their window's end in
+    index order, as batch_fitness sums it (a resource within its window adds
+    exactly 0).
     """
     if not instance.windowed:
         return max
     ends = instance.end_times.tolist()
 
     def fitness(completions: list[float]) -> float:
-        makespan = max(completions)
-        if any(map(operator.gt, completions, ends)):
-            overshoot = np.clip(np.subtract(completions, instance.end_times), 0.0, None).sum()
-            return float(makespan + OVERSHOOT_PENALTY * overshoot)
-        return makespan
+        overshoot = 0.0
+        for done, end in zip(completions, ends):
+            if done > end:
+                overshoot += done - end
+        return max(completions) + OVERSHOOT_PENALTY * overshoot
 
     return fitness
 
@@ -383,12 +381,8 @@ def brute_force_optimum(
         values = completions.max(axis=0)
         if instance.windowed:
             excess = np.clip(completions - ends, 0.0, None)
-            if n < _PAIRWISE_SUM_MIN:
-                overshoot = functools.reduce(np.add, excess)
-            else:
-                # batch_fitness sums each (k, n) row pairwise; sum the same layout.
-                overshoot = np.ascontiguousarray(excess.T).sum(axis=1)
-            values += OVERSHOOT_PENALTY * overshoot
+            # One row per resource: reduce adds them in index order.
+            values += OVERSHOOT_PENALTY * functools.reduce(np.add, excess)
         pos = int(np.argmin(values))
         # Strict <: prefixes run in id order, so a tie keeps the earlier vector.
         if values[pos] < best_value:

@@ -10,6 +10,7 @@ from gridsched.datasets import (
     GeneratorSpec,
     MalformedDocumentError,
     SchemaError,
+    document_to_instance,
     fixture_suite,
     generate_instance,
     load_instance,
@@ -173,6 +174,17 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             load_instance(path)
+
+    @pytest.mark.parametrize("part", ["resources", "jobs"])
+    @pytest.mark.parametrize("bad_id", [True, 0.0, "0", None, -1])
+    def test_non_index_id_is_schema_violation(self, part, bad_id):
+        doc = {
+            "resources": [{"id": 0, "speed": "2.0", "start_time": "0.0", "end_time": "inf"}],
+            "jobs": [{"id": 0, "length": "4.0"}],
+        }
+        doc[part][0]["id"] = bad_id
+        with pytest.raises(SchemaError, match=r"^\w+\[0\]: \w+ id must be"):
+            document_to_instance(doc)
 
     def test_out_of_order_ids_are_sorted(self, tmp_path):
         doc = {

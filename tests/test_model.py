@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -51,20 +53,44 @@ def make_instance(speeds, lengths, starts=None, ends=None):
     )
 
 
-class TestConstruction:
-    def test_job_rejects_non_positive_length(self):
-        with pytest.raises(ValueError):
-            Job(0, 0.0)
-        with pytest.raises(ValueError):
-            Job(0, -3.0)
+# Each builds a Job or Resource with one invalid field; the error names it.
+INVALID_PARTS = [
+    pytest.param(lambda: Job(True, 1.0), "job id", id="job_id_bool"),
+    pytest.param(lambda: Job(0.0, 1.0), "job id", id="job_id_float"),
+    pytest.param(lambda: Job(-1, 1.0), "job id", id="job_id_negative"),
+    pytest.param(lambda: Job(0, True), "job 0 length", id="job_length_bool"),
+    pytest.param(lambda: Job(0, "5"), "job 0 length", id="job_length_str"),
+    pytest.param(lambda: Job(0, 0.0), "job 0 length", id="job_length_zero"),
+    pytest.param(lambda: Job(0, -3.0), "job 0 length", id="job_length_negative"),
+    pytest.param(lambda: Job(0, math.inf), "job 0 length", id="job_length_inf"),
+    pytest.param(lambda: Job(0, math.nan), "job 0 length", id="job_length_nan"),
+    pytest.param(lambda: Resource(True, 1.0), "resource id", id="resource_id_bool"),
+    pytest.param(lambda: Resource(0.0, 1.0), "resource id", id="resource_id_float"),
+    pytest.param(lambda: Resource(0, True), "resource 0 speed", id="speed_bool"),
+    pytest.param(lambda: Resource(0, "2"), "resource 0 speed", id="speed_str"),
+    pytest.param(lambda: Resource(0, 0.0), "resource 0 speed", id="speed_zero"),
+    pytest.param(lambda: Resource(0, math.inf), "resource 0 speed", id="speed_inf"),
+    pytest.param(lambda: Resource(0, 1.0, True), "resource 0 start_time", id="start_bool"),
+    pytest.param(lambda: Resource(0, 1.0, -1.0), "resource 0 start_time", id="start_negative"),
+    pytest.param(lambda: Resource(0, 1.0, math.inf), "resource 0 start_time", id="start_inf"),
+    pytest.param(lambda: Resource(0, 1.0, math.nan), "resource 0 start_time", id="start_nan"),
+    pytest.param(lambda: Resource(0, 1.0, 0.0, "9"), "resource 0 end_time", id="end_str"),
+    pytest.param(lambda: Resource(0, 1.0, 5.0, 5.0), "resource 0 end_time", id="end_at_start"),
+    pytest.param(lambda: Resource(0, 1.0, 0.0, math.nan), "resource 0 end_time", id="end_nan"),
+]
 
-    def test_resource_rejects_bad_speed_and_window(self):
-        with pytest.raises(ValueError):
-            Resource(0, 0.0)
-        with pytest.raises(ValueError):
-            Resource(0, 1.0, start_time=-1.0)
-        with pytest.raises(ValueError):
-            Resource(0, 1.0, start_time=5.0, end_time=5.0)
+
+class TestConstruction:
+    @pytest.mark.parametrize("build, name", INVALID_PARTS)
+    def test_job_and_resource_reject_invalid_fields(self, build, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+            build()
+
+    def test_job_and_resource_accept_numpy_scalars_and_integers(self):
+        job = Job(np.int64(2), np.float64(2.5))
+        assert (job.id, job.length) == (2, 2.5)
+        resource = Resource(np.int32(1), 3, np.float64(0.5), 7)
+        assert (resource.id, resource.speed, resource.end_time) == (1, 3, 7)
 
     def test_instance_requires_contiguous_ids(self):
         with pytest.raises(ValueError):
@@ -182,7 +208,9 @@ class TestFitness:
             [np.bincount(row, weights=inst.lengths, minlength=n) for row in assignees]
         )
         completions = inst.start_times + cycles / inst.speeds
-        overshoot = np.clip(completions - inst.end_times, 0.0, None).sum(axis=1)
+        # The overshoot is summed in resource order, whatever n is.
+        excess = np.clip(completions - inst.end_times, 0.0, None).tolist()
+        overshoot = np.array([functools.reduce(operator.add, row) for row in excess])
         expected = completions.max(axis=1) + OVERSHOOT_PENALTY * overshoot
         np.testing.assert_array_equal(batch_fitness(inst, assignees), expected)
 
@@ -427,16 +455,18 @@ class TestBruteForce:
         inst = generate_instance(GeneratorSpec(n, m, window=window, seed=seed))
         assert brute_force_optimum(inst) == first_minimiser(inst)
 
-    def test_pairwise_overshoot_sum_on_nine_resources(self):
+    def test_overshoot_summed_in_resource_order_on_nine_resources(self):
         # Four equal tight-window resources and five slow unbounded ones: many
-        # assignments tie in exact arithmetic, and numpy's pairwise sum of a
-        # 9-entry overshoot row breaks the tie differently from an in-order sum.
+        # assignments tie in exact arithmetic, and the overshoot summed in
+        # resource order breaks the tie differently from numpy's pairwise sum
+        # of a 9-entry row.
         inst = make_instance(
             [3.0] * 4 + [0.01] * 5, [8.0, 9.0, 19.0], ends=[0.5] * 4 + [math.inf] * 5
         )
         assignment, value = brute_force_optimum(inst)
         assert (assignment, value) == first_minimiser(inst)
-        assert assignment.assignee == (0, 2, 3)
+        assert assignment.assignee == (2, 0, 1)
+        assert value == 111.33333333333331
 
     def test_tie_across_prefixes_keeps_the_earlier_vector(self):
         # 2^16 assignments span several suffix tables; every even split ties.
