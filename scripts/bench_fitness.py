@@ -8,10 +8,12 @@ fixture and on a 20 x 1000 instance, `model.batch_defuzzify` on the
 repaired DE (population 10) and PSO (swarm 50) stacks of every fixture and
 of the 20 x 1000 instance, one SA run at a tenth of its default
 budget (cooling 0.98**10, seed 0) on each fixture and on generated windowed
-3 x 7, 5 x 12 and 12 x 40 instances, one fuzzy-DE generation
-of `fuzzy_de.evolve` at default settings on `r8_j60` and on the 20 x 1000
-instance, one fuzzy-PSO run at default settings but 50 iterations on
-`r5_j100` and `r8_j60` and 20 on the 20 x 1000 instance, and one
+3 x 7, 5 x 12 and 12 x 40 instances, one generation of the DE engine
+`fuzzy_de.evolve` at default settings (seed 1) on `r8_j60` and on the
+20 x 1000 instance, timed as a fuzzy-DE (`de_generation_ms`) and a crisp-DE
+(`crisp_de_generation_ms`) run over its generations, one fuzzy-PSO run at
+default settings but 50 iterations on `r5_j100` and `r8_j60` and 20 on the
+20 x 1000 instance, and one
 `model.brute_force_optimum` call on `r3_j13`, on generated 4 x 10 and
 2 x 20 instances (seed 11) and on a generated windowed 9 x 6 instance.  Each
 side runs in its own subprocess with only its `src` directory on the import
@@ -89,7 +91,9 @@ def measure() -> dict[str, float]:
     from workloads import WINDOW
 
     from gridsched import datasets, fuzzy_de, model
-    from gridsched.baselines import PSOConfig, SAConfig, fuzzy_pso_solve, sa_solve
+    from gridsched.baselines import (
+        PSOConfig, SAConfig, crisp_de_solve, fuzzy_pso_solve, sa_solve,
+    )
     from gridsched.datasets import GeneratorSpec
     from gridsched.fuzzy_de import SolverConfig
 
@@ -132,21 +136,15 @@ def measure() -> dict[str, float]:
             median_time(clock, lambda: sa_solve(instance, config), 1) * 1e3
         )
     de_instances = {"r8_j60": fixtures["r8_j60"], "20x1000": instances["20x1000"]}
+    de_solvers = {"de_generation_ms": fuzzy_de.solve, "crisp_de_generation_ms": crisp_de_solve}
     for name, instance in de_instances.items():
         generations = DE_GENERATIONS[name]
-        config = SolverConfig(max_iterations=generations)
-        shape = (config.population_size, instance.resource_count, instance.job_count)
-        initial = model.repair_stack(np.random.default_rng(0).random(shape))
-
-        def run_generations():
-            # One initial scoring rides along with the generations.
-            fuzzy_de.evolve(
-                instance, initial.copy(), config, np.random.default_rng(1),
-                model.repair_stack, model.batch_defuzzify, 0.0,
-            )
-
-        seconds = median_time(clock, run_generations, 1) / generations
-        figures[f"de_generation_ms.{name}"] = seconds * 1e3
+        config = SolverConfig(max_iterations=generations, seed=1)
+        for label, solver in de_solvers.items():
+            # The initial population's draw, repair and scoring ride along.
+            run_generations = lambda: solver(instance, config)
+            seconds = median_time(clock, run_generations, 1) / generations
+            figures[f"{label}.{name}"] = seconds * 1e3
     for name, instance in {"r5_j100": fixtures["r5_j100"], **de_instances}.items():
         config = PSOConfig(max_iterations=PSO_ITERATIONS[name])
         run_swarm = lambda: fuzzy_pso_solve(instance, config)

@@ -242,7 +242,7 @@ def crisp_de_solve(instance: GridInstance, config: SolverConfig) -> RunResult:
     positions = rng.uniform(0, n, size=(config.population_size, m))
     reflect = lambda vectors: reflect_positions(vectors, n)
     decode = lambda vectors: decode_positions(vectors, n)
-    return fuzzy_de.evolve(instance, positions, config, rng, reflect, decode, started)
+    return fuzzy_de.evolve(instance, positions, config, rng, reflect, None, decode, started)
 
 
 def _move_block(

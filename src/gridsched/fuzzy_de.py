@@ -13,17 +13,20 @@ genome: a real vector, reflected into range and decoded by floor.
 
 The engine builds trials sparsely.  At the default crossover rate a trial
 takes the mutant in about 2 % of its slots, so the mutant is computed only
-at the taken slots and scattered into a copy of the population; the draws
+at the taken slots, repaired there by the genome's elementwise slot repair
+and scattered into a copy of the population; the kept slots already lie in
+the domain, where that repair changes nothing.  Only a stack step that needs
+whole columns (fuzzy DE's rescale) sees the whole trial stack.  The draws
 keep the dense form's order and shape, so every run is bit for bit that of
-dense mutants and np.where.  The crossover uniforms, the take mask and the
-trial stack are allocated once per run and refilled every generation, and so
-is a (pop, pop - 1) table of flat offsets from each member's slots to every
-other member's: a generation looks its partners' offsets up in it and reads
-all three partners' copies of the taken slots with one gather.  Repair,
-decoding and scoring stay dense, one call each per generation.  A generation
-in which no trial beats its target writes nothing back and only extends the
-trace: a tie keeps the parent, so neither the population nor the best can
-have changed.
+dense mutants, np.where and a dense repair.  The draw buffer, the take mask
+and the trial stack are allocated once per run and refilled every
+generation, and so is a (pop, pop - 1) table of flat offsets from each
+member's slots to every other member's: a generation looks its partners'
+offsets up in it and reads all three partners' copies of the taken slots
+with one gather.  Decoding and scoring stay dense, one call each per
+generation.  A generation in which no trial beats its target writes nothing
+back and only extends the trace: a tie keeps the parent, so neither the
+population nor the best can have changed.
 """
 
 from __future__ import annotations
@@ -132,14 +135,16 @@ def _partner_table(size: int, cells: int) -> np.ndarray:
     return (rank + (rank >= row) - row) * cells
 
 
-def _partners(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _partners(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """DE/rand/1 partners (base, first, second) of each row, as `table` offsets, shape (size, 3).
 
-    They are uniform, mutually distinct and distinct from the row: argsort of
-    iid uniforms is a random permutation of the other `size - 1` members.
+    `keys` holds one iid uniform per `table` entry, drawn for this generation.
+    The partners are uniform, mutually distinct and distinct from the row:
+    argsort of iid uniforms is a random permutation of the other `size - 1`
+    members.
     """
-    order = np.argsort(rng.random(table.shape), axis=1)[:, :3]
-    return np.take_along_axis(table, order, axis=1)
+    order = np.argsort(keys, axis=1)[:, :3]
+    return table[np.arange(len(table))[:, None], order]
 
 
 def evolve(
@@ -147,42 +152,53 @@ def evolve(
     genomes: np.ndarray,
     config: SolverConfig,
     rng: np.random.Generator,
-    repair: Callable[[np.ndarray], np.ndarray],
+    slot_repair: Callable[[np.ndarray], np.ndarray],
+    stack_step: Callable[[np.ndarray], np.ndarray] | None,
     decode: Callable[[np.ndarray], np.ndarray],
     started: float,
 ) -> RunResult:
     """DE/rand/1/bin with greedy selection, evolving the (pop, ...) stack in place.
 
-    `repair` maps raw trials back onto the genome's domain and `decode` maps
-    genomes to assignment rows for model.batch_fitness.  Wall time counts
-    from the perf_counter reading `started`.
+    Each generation, `slot_repair` maps the mutant values at the slots
+    crossover takes (a 1-d array) back onto the genome's domain elementwise,
+    before they are scattered into a copy of the population (see the module
+    docstring).  `stack_step`, unless None, then maps the whole (pop, ...)
+    trial stack, and `decode` maps genomes to assignment rows for
+    model.batch_fitness.  Wall time counts from the perf_counter reading
+    `started`.
 
-    Mutants are computed only at the slots crossover takes, on buffers
-    reused every generation (see the module docstring).
+    The slots a trial keeps from its target are not repaired again, so
+    `genomes` must already lie in the domain, where `slot_repair` would leave
+    them unchanged; both solvers' initial populations do.
     """
     fits = model.batch_fitness(instance, decode(genomes))
     best = _Best(fits, genomes, started)
 
-    rows = np.arange(len(genomes))
+    size = len(genomes)
     cells = genomes[0].size
-    table = _partner_table(len(genomes), cells)
-    uniforms = np.empty(genomes.shape)
+    table = _partner_table(size, cells)
+    # The partner keys and the crossover uniforms are consecutive in the stream,
+    # so one call per generation draws both into one buffer.
+    draws = np.empty(table.size + genomes.size)
+    keys = draws[: table.size].reshape(table.shape)
+    uniforms = draws[table.size :].reshape(genomes.shape)
     take = np.empty(genomes.shape, dtype=bool)
+    row_starts = np.arange(0, genomes.size, cells)
     trials = np.empty(genomes.shape, dtype=genomes.dtype)
     for _ in range(config.max_iterations):
-        shifts = _partners(table, rng)
+        rng.random(out=draws)
+        shifts = _partners(table, keys)
         # Binomial crossover, then one forced slot per row.
-        rng.random(out=uniforms)
         np.less(uniforms, config.crossover_rate, out=take)
-        take.reshape(len(rows), -1)[rows, rng.integers(0, cells, size=len(rows))] = True
+        take.reshape(-1)[row_starts + rng.integers(0, cells, size=size)] = True
         taken = np.flatnonzero(take)
         # Rows base, first and second hold the partners' copies of each taken slot;
         # take() gathers them far faster than fancy indexing does.
         gather = shifts.T.take(taken // cells, axis=1) + taken
         base, first, second = genomes.reshape(-1)[gather]
         np.copyto(trials, genomes)
-        trials.reshape(-1)[taken] = base + config.scaling_factor * (first - second)
-        repaired = repair(trials)
+        trials.reshape(-1)[taken] = slot_repair(base + config.scaling_factor * (first - second))
+        repaired = trials if stack_step is None else stack_step(trials)
         trial_fits = model.batch_fitness(instance, decode(repaired))
         improved = trial_fits < fits
         if improved.any():
@@ -204,5 +220,6 @@ def solve(instance: GridInstance, config: SolverConfig) -> RunResult:
     # Uniform(0,1) matrices column-normalized to unit sums.
     genomes = model.repair_stack(rng.random(shape))
     return evolve(
-        instance, genomes, config, rng, model.repair_stack, model.batch_defuzzify, started
+        instance, genomes, config, rng,
+        model.clamp_memberships, model.normalize_stack, model.batch_defuzzify, started,
     )

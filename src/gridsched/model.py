@@ -1,9 +1,10 @@
 """Domain model for scheduling independent jobs on heterogeneous grid resources.
 
 Holds the problem types (resources, jobs, instances), crisp schedules, the
-repair and argmax decoding of stacks of fuzzy membership matrices, the shared
-fitness function that scores every schedule, and an exhaustive enumeration
-oracle for small instances that minimizes the same penalized objective.
+repair (an elementwise clamp, then a column rescale) and argmax decoding of
+stacks of fuzzy membership matrices, the shared fitness function that scores
+every schedule, and an exhaustive enumeration oracle for small instances
+that minimizes the same penalized objective.
 
 All operations are pure functions of their inputs; every value type is
 immutable after construction and safe to share between concurrent workers.
@@ -30,9 +31,10 @@ DEFAULT_ENUMERATION_BUDGET = 20_000_000
 # prefix; h is the largest with resource_count ** h at most this.
 _ORACLE_SUFFIX_ASSIGNMENTS = 1 << 14
 
-# batch_defuzzify decodes stacks of at least this many cells by max and a
-# first-equal mask; np.argmax is faster below it (fixture-sized DE stacks).
-_MASK_DECODE_MIN_CELLS = 10_000
+# batch_defuzzify decodes stacks of at least this many columns (matrices times
+# jobs) by max and a first-equal mask; np.argmax, which pays per column, is
+# faster below it (most fixture-sized DE stacks).
+_MASK_DECODE_MIN_COLUMNS = 800
 
 
 class ConfigurationError(ValueError):
@@ -276,10 +278,29 @@ def repair_stack(stack: np.ndarray) -> np.ndarray:
     rescales each column to unit sum.  A column whose clamped sum is zero has
     no usable signal left and is reset to the uniform column.  Idempotent up
     to floating-point roundoff.
+
+    It is normalize_stack(clamp_memberships(stack)).  The clamp is elementwise
+    and leaves entries already in [0, 1] unchanged, so a caller that changed
+    only some entries of a repaired stack may clamp those alone.
     """
-    if not np.isfinite(stack).all():
+    return normalize_stack(clamp_memberships(stack))
+
+
+def clamp_memberships(values: np.ndarray) -> np.ndarray:
+    """Clip an array of membership values to [0, 1] in place; repair_stack's first half.
+
+    Raises NumericDomainError if any value is not finite.
+    """
+    if not np.isfinite(values).all():
         raise NumericDomainError("cannot repair non-finite membership values")
-    np.clip(stack, 0.0, 1.0, out=stack)
+    return np.clip(values, 0.0, 1.0, out=values)
+
+
+def normalize_stack(stack: np.ndarray) -> np.ndarray:
+    """Rescale each column of a clamped (..., resource_count, job_count) stack to unit
+    sum in place, resetting columns that sum to zero to the uniform column;
+    repair_stack's second half.
+    """
     n = stack.shape[-2]
     sums = stack.sum(axis=-2, keepdims=True)
     if sums.all():
@@ -300,16 +321,17 @@ def batch_defuzzify(stack: np.ndarray) -> np.ndarray:
     out-of-range index resource_count on large stacks, and batch_fitness does
     not check indices.
 
-    Below _MASK_DECODE_MIN_CELLS cells this is np.argmax.  On larger stacks,
-    where np.argmax over a non-last axis pays for a transposed copy, each
-    entry equal to its column's maximum is weighted n - i, and the largest
-    weight marks the first maximum: np.argmax's rule.  While n - i fits in a
-    byte the weights multiply the equality mask's own bytes in place, so the
-    decode allocates one byte per cell.
+    Below _MASK_DECODE_MIN_COLUMNS columns (stack.size // n) this is
+    np.argmax.  On stacks with more columns, where np.argmax over a non-last
+    axis pays for a transposed copy and a scan per column, each entry equal
+    to its column's maximum is weighted n - i, and the largest weight marks
+    the first maximum: np.argmax's rule.  While n - i fits in a byte the
+    weights multiply the equality mask's own bytes in place, so the decode
+    allocates one byte per cell.
     """
-    if stack.size < _MASK_DECODE_MIN_CELLS:
-        return np.argmax(stack, axis=-2)
     n = stack.shape[-2]
+    if stack.size // n < _MASK_DECODE_MIN_COLUMNS:
+        return np.argmax(stack, axis=-2)
     hits = stack == stack.max(axis=-2, keepdims=True)
     if n < 256:
         hits = hits.view(np.uint8)

@@ -72,7 +72,8 @@ def test_criterion_1_relative_table_arithmetic():
 
 def test_criterion_2_constraint_preservation():
     # 1000 one-generation cycles of the DE engine with random F and CR on a
-    # population that carries over; every repaired trial of every cycle is checked.
+    # population that carries over; every trial of every cycle is checked whole,
+    # after the engine's slot clamp and its stack-wide rescale.
     rng = np.random.default_rng(8860)
     n, m = 8, 60
     instance = fixture_suite()["r8_j60"]
@@ -83,7 +84,7 @@ def test_criterion_2_constraint_preservation():
 
     def checked_repair(trials):
         nonlocal checked, violations
-        repaired = model.repair_stack(trials)
+        repaired = model.normalize_stack(trials)
         for values in repaired:
             checked += 1
             if not np.isfinite(values).all():
@@ -99,7 +100,8 @@ def test_criterion_2_constraint_preservation():
         rate = float(rng.uniform(0.0, 1.0))
         config = SolverConfig(scaling, rate, population_size=6, max_iterations=1)
         fuzzy_de.evolve(
-            instance, genomes, config, rng, checked_repair, model.batch_defuzzify, 0.0
+            instance, genomes, config, rng,
+            model.clamp_memberships, checked_repair, model.batch_defuzzify, 0.0,
         )
     report(
         "2 constraint preservation",

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gridsched import model
+from gridsched import fuzzy_de, model
 from gridsched.baselines import (
     _PSO_BLOCK_CELLS,
     one_point_crossover,
@@ -677,21 +677,54 @@ class TestDEEngine:
         got = (result.best_assignment, result.best_makespan, result.trace, result.iterations_run)
         assert got == reference(instance, config)
 
-    def test_repairs_the_full_stack_once_per_generation(self, monkeypatch):
+    def test_repairs_the_taken_slots_then_the_whole_stack(self, monkeypatch):
+        # Through fuzzy DE's solve, against a dense replay of each generation's
+        # draws: the slot repair gets exactly the mutant values at the slots the
+        # take mask marks, and the stack step gets the whole trial stack once.
         instance = fixture_suite()["r3_j13"]
-        original = model.repair_stack
-        shapes, dead = [], []
-
-        def recording(stack):
-            shapes.append(stack.shape)
-            dead.append(bool((np.clip(stack, 0.0, 1.0).sum(axis=-2) == 0.0).any()))
-            return original(stack)
-
-        monkeypatch.setattr(model, "repair_stack", recording)
         config = SolverConfig(crossover_rate=0.5, scaling_factor=2.0, max_iterations=30, seed=5)
+        pop, n, m = config.population_size, instance.resource_count, instance.job_count
+        rows = np.arange(pop)
+        replay = np.random.default_rng(config.seed)
+        replay.random((pop, n, m))  # the initial population
+        engine = fuzzy_de.evolve
+        counts, shapes, dead = [], [], []
+
+        def evolve(instance, genomes, config, rng, slot_repair, stack_step, decode, started):
+            assert (slot_repair, stack_step) == (model.clamp_memberships, model.normalize_stack)
+            # `genomes` is the population the engine evolves in place.
+            expected = []
+
+            def repairing_slots(values):
+                order = np.argsort(replay.random((pop, pop - 1)), axis=1)[:, :3]
+                partners = order + (order >= rows[:, None])
+                take = replay.random(genomes.shape) < config.crossover_rate
+                take.reshape(pop, -1)[rows, replay.integers(0, n * m, size=pop)] = True
+                base, first, second = (genomes[partners[:, k]] for k in range(3))
+                mutants = base + config.scaling_factor * (first - second)
+                np.testing.assert_array_equal(values, mutants[take])
+                counts.append((values.size, int(take.sum())))
+                expected.append(np.where(take, np.clip(mutants, 0.0, 1.0), genomes))
+                return slot_repair(values)
+
+            def stepping(trials):
+                np.testing.assert_array_equal(trials, expected.pop())
+                shapes.append(trials.shape)
+                # Trials mix target zeros with negative mutant entries, so some
+                # columns clamp to all zeros; they reset to the uniform column.
+                dead_columns = trials.sum(axis=-2) == 0.0
+                dead.append(bool(dead_columns.any()))
+                repaired = stack_step(trials)
+                assert (repaired.transpose(0, 2, 1)[dead_columns] == 1.0 / n).all()
+                return repaired
+
+            return engine(instance, genomes, config, rng, repairing_slots, stepping, decode, started)
+
+        monkeypatch.setattr(fuzzy_de, "evolve", evolve)
         fuzzy_de_solve(instance, config)
-        # The initial population, then one whole (pop, n, m) trial stack per generation.
-        assert shapes == [(10, 3, 13)] * 31
+        assert len(counts) == 30
+        assert all(got == replayed for got, replayed in counts)
+        assert shapes == [(pop, n, m)] * 30
         assert any(dead)
 
 

@@ -12,6 +12,7 @@ from gridsched.model import (
     ConfigurationError,
     GridInstance,
     Job,
+    NumericDomainError,
     Resource,
     brute_force_optimum,
 )
@@ -101,7 +102,8 @@ class TestPartners:
         seen = [set() for _ in targets]
         for seed in range(50):
             # With one cell per member, an offset is partner index minus target index.
-            offsets = _partners(_partner_table(size, 1), np.random.default_rng(seed))
+            keys = np.random.default_rng(seed).random((size, size - 1))
+            offsets = _partners(_partner_table(size, 1), keys)
             partners = offsets + targets[:, None]
             assert partners.shape == (size, 3)
             for target, row in zip(targets.tolist(), partners.tolist()):
@@ -113,8 +115,16 @@ class TestPartners:
         assert all(picked == set(range(size)) - {target} for target, picked in enumerate(seen))
 
 
+def unrepaired(values):
+    return values
+
+
 def first_raw_trials(instance, genomes, config, seed):
-    """The raw (pre-repair) trial stack of evolve's first generation from `genomes`."""
+    """The raw (pre-repair) trial stack of evolve's first generation from `genomes`.
+
+    The slot repair is the identity, so the stack handed to the stack step,
+    recorded here, holds the raw mutant values at the taken slots.
+    """
     raw = []
 
     def repair(trials):
@@ -123,7 +133,7 @@ def first_raw_trials(instance, genomes, config, seed):
 
     evolve(
         instance, genomes.copy(), replace(config, max_iterations=1), np.random.default_rng(seed),
-        repair, model.batch_defuzzify, time.perf_counter(),
+        unrepaired, repair, model.batch_defuzzify, time.perf_counter(),
     )
     (trials,) = raw
     return trials
@@ -171,6 +181,18 @@ class TestMutate:
             base, first, second = (values[p] for p in partners[target])
             assert trials[target, 0, 0] == base + 0.5 * (first - second)
 
+    def test_non_finite_mutant_raises(self, small_instance):
+        # With four members every other member is a partner of each row, so
+        # every mutant but row 0's reads the infinite entry.
+        genomes = model.repair_stack(np.random.default_rng(2).random((4, 3, 8)))
+        genomes[0, 1, 5] = np.inf
+        config = SolverConfig(crossover_rate=1.0, population_size=4, max_iterations=1)
+        with pytest.raises(NumericDomainError):
+            evolve(
+                small_instance, genomes, config, np.random.default_rng(0),
+                model.clamp_memberships, model.normalize_stack, model.batch_defuzzify, 0.0,
+            )
+
 
 class TestCrossover:
     def test_full_rate_copies_mutant(self, small_instance):
@@ -207,8 +229,8 @@ class TestCrossover:
 
 class TestSelection:
     # One job on resources of speed 1 and 2: resource 0 scores 2.0, resource
-    # 1 scores 1.0.  Every parent holds 0.0 and repair makes every first
-    # trial 1.0.  With crossover rate 0 and one slot, the second generation's
+    # 1 scores 1.0.  Every parent holds 0.0 and the stack step makes every
+    # first trial 1.0.  With crossover rate 0 and one slot, the second generation's
     # raw trials are pure mutants v + F * (v - v) = v of the population, so
     # they show whether it kept the parents or took the trials.
     INSTANCE = GridInstance(resources=(Resource(0, 1.0), Resource(1, 2.0)), jobs=(Job(0, 2.0),))
@@ -223,7 +245,7 @@ class TestSelection:
         config = SolverConfig(population_size=4, crossover_rate=0.0, max_iterations=2)
         result = evolve(
             self.INSTANCE, np.zeros((4, 1)), config, np.random.default_rng(0),
-            repair, decode, time.perf_counter(),
+            unrepaired, repair, decode, time.perf_counter(),
         )
         return result, raw[1]
 

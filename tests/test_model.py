@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
 from gridsched.model import (
-    _MASK_DECODE_MIN_CELLS,
+    _MASK_DECODE_MIN_COLUMNS,
     OVERSHOOT_PENALTY,
     Assignment,
     ConfigurationError,
@@ -26,7 +26,9 @@ from gridsched.model import (
     batch_defuzzify,
     batch_fitness,
     brute_force_optimum,
+    clamp_memberships,
     completion_fitness,
+    normalize_stack,
     repair_stack,
 )
 from oracles import is_membership_matrix, naive_fitness, naive_makespan
@@ -273,14 +275,16 @@ class TestDefuzzify:
         repaired = repair_stack(rescaled)
         np.testing.assert_array_equal(batch_defuzzify(repaired), batch_defuzzify(values))
 
-    # Stacks just below and at the size where batch_defuzzify leaves np.argmax,
-    # and past it with n = 255 (the largest uint8 weight) and n = 256 (intp weights).
-    MASK_EDGE_SHAPES = [(9, 1111), (4, 25, 100), (2, 255, 20), (1, 256, 40)]
+    # Stacks just below and at the column count where batch_defuzzify leaves
+    # np.argmax, and past it with n = 255 (the largest uint8 weight) and n = 256
+    # (intp weights).
+    MASK_EDGE_SHAPES = [(9, 799), (4, 5, 200), (2, 255, 400), (1, 256, 800)]
 
     def test_mask_edge_shapes_straddle_the_threshold(self):
-        sizes = [math.prod(shape) for shape in self.MASK_EDGE_SHAPES]
-        assert sizes[0] == _MASK_DECODE_MIN_CELLS - 1
-        assert min(sizes[1:]) >= _MASK_DECODE_MIN_CELLS
+        columns = [math.prod(shape) // shape[-2] for shape in self.MASK_EDGE_SHAPES]
+        assert columns[0] == _MASK_DECODE_MIN_COLUMNS - 1
+        assert columns[1] == _MASK_DECODE_MIN_COLUMNS
+        assert min(columns[2:]) >= _MASK_DECODE_MIN_COLUMNS
 
     @given(
         st.sampled_from(MASK_EDGE_SHAPES)
@@ -314,6 +318,24 @@ class TestMembershipChecker:
         assert not is_membership_matrix(np.array([[np.inf], [0.0]]))
 
 
+def clamp_divide(raw):
+    """Bit for bit repair_stack: each clamped entry over its column's clamped sum,
+    1/n where that sum is 0.
+    """
+    clamped = np.clip(raw, 0.0, 1.0)
+    sums = clamped.sum(axis=-2, keepdims=True)
+    dead = sums == 0.0
+    return np.where(dead, 1.0 / raw.shape[-2], clamped / np.where(dead, 1.0, sums))
+
+
+# Raw (pop, n, m) stacks with negative entries and entries above 1.
+RAW_STACKS = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 8)),
+    elements=st.floats(-3.0, 3.0),
+)
+
+
 class TestRepair:
     def test_clamp_then_normalize_column(self):
         fixed = repair_stack(np.array([[-0.1], [0.6], [0.7]]))
@@ -337,14 +359,29 @@ class TestRepair:
 
     @pytest.mark.parametrize("low", [0.0, -2.0], ids=["live", "some_dead"])
     def test_stack_repair_divides_by_the_clamped_column_sum(self, low):
-        # Bit for bit: each entry over its clamped column's sum, 1/n where that sum is 0.
         raw = np.random.default_rng(3).uniform(low, 1.0, size=(10, 4, 200))
-        clamped = np.clip(raw, 0.0, 1.0)
-        sums = clamped.sum(axis=1, keepdims=True)
-        dead = sums == 0.0
-        expected = np.where(dead, 0.25, clamped / np.where(dead, 1.0, sums))
-        assert dead.any() == (low < 0)
+        assert (np.clip(raw, 0.0, 1.0).sum(axis=1) == 0.0).any() == (low < 0)
+        np.testing.assert_array_equal(repair_stack(raw.copy()), clamp_divide(raw))
+
+    @given(RAW_STACKS, st.booleans())
+    def test_halves_compose_to_the_repair(self, raw, dead_column):
+        if dead_column:
+            raw[..., 0] = -np.abs(raw[..., 0])
+        expected = clamp_divide(raw)
+        np.testing.assert_array_equal(normalize_stack(clamp_memberships(raw.copy())), expected)
         np.testing.assert_array_equal(repair_stack(raw.copy()), expected)
+
+    @given(RAW_STACKS, st.integers(0, 2**32 - 1))
+    def test_clamping_the_changed_slots_alone_repairs_the_stack(self, raw, seed):
+        # The DE engine's order: a repaired stack, raw values written into some
+        # slots and clamped alone, then one stack-wide rescale.
+        rng = np.random.default_rng(seed)
+        stack = repair_stack(rng.random(raw.shape))
+        slots = np.flatnonzero(rng.random(raw.shape) < 0.5)
+        whole = stack.copy()
+        whole.reshape(-1)[slots] = raw.reshape(-1)[slots]
+        stack.reshape(-1)[slots] = clamp_memberships(raw.reshape(-1)[slots])
+        np.testing.assert_array_equal(normalize_stack(stack), clamp_divide(whole))
 
     @given(
         hnp.arrays(
