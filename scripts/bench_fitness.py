@@ -14,8 +14,11 @@ budget (cooling 0.98**10, seed 0) on each fixture and on generated windowed
 (`crisp_de_generation_ms`) run over its generations, one fuzzy-PSO run at
 default settings but 50 iterations on `r5_j100` and `r8_j60` and 20 on the
 20 x 1000 instance, and one
-`model.brute_force_optimum` call on `r3_j13`, on generated 4 x 10 and
-2 x 20 instances (seed 11) and on a generated windowed 9 x 6 instance.  Each
+`model.brute_force_optimum` call on each of `oracle_instances()`: `r3_j13`,
+generated 4 x 10, 2 x 20 and 12 x 6 instances (seed 11), the 4 x 10 and
+2 x 20 ones with every length set to 10, the 4 x 10 and 12 x 6 ones with
+windows that no job fits, and generated windowed 9 x 6 and 4 x 10
+instances.  Each
 side runs in its own subprocess with only its `src` directory on the import
 path, and the sides alternate `--repeats` times; a figure is the median over
 those subprocesses of the median of the timed samples inside one.
@@ -31,7 +34,9 @@ makespan bits, trace bits, iterations) between the two sides by hash, case
 by case: the four fixtures, the 20 x 1000 instance, windowed 3 x 7 and
 12 x 40 instances and instances with one resource and with one job, each at
 seeds 0, 5 and 2**64 - 1.  Runs use default settings, except on 20 x 1000,
-which gets a 25th of the budget as perfbench's `large` workload does.
+which gets a 25th of the budget as perfbench's `large` workload does.  It
+also compares the oracle's answer (assignment and value bits) on each of
+`oracle_instances()`, as case `oracle.<name>`.
 `--repeats 0` runs only this check.
 
 Every sample is timed by perfbench's `refclock.ScaledClock`, so a figure is
@@ -42,6 +47,7 @@ the time on a machine where perfbench's fixed reference task takes
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -150,16 +156,47 @@ def measure() -> dict[str, float]:
         run_swarm = lambda: fuzzy_pso_solve(instance, config)
         figures[f"pso_run_ms.{name}"] = median_time(clock, run_swarm, 1) * 1e3
         figures[f"pso_minor_faults.{name}"] = pso_step_faults(instance, config)
-    oracle_instances = {
-        "r3_j13": fixtures["r3_j13"],
-        "4x10": datasets.generate_instance(GeneratorSpec(4, 10, seed=11)),
-        "2x20": datasets.generate_instance(GeneratorSpec(2, 20, seed=11)),
-        "w9x6": datasets.generate_instance(GeneratorSpec(9, 6, window=TIGHT_WINDOW, seed=3)),
-    }
-    for name, instance in oracle_instances.items():
+    for name, instance in oracle_instances().items():
         seconds = median_time(clock, lambda: model.brute_force_optimum(instance), 1)
         figures[f"oracle_ms.{name}"] = seconds * 1e3
     return figures
+
+
+def oracle_instances() -> dict:
+    """The instances `model.brute_force_optimum` is timed and checked on."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WINDOW
+
+    from gridsched import datasets
+    from gridsched.datasets import GeneratorSpec
+    from gridsched.model import GridInstance, Job
+
+    def generated(*shape, **spec):
+        return datasets.generate_instance(GeneratorSpec(*shape, **spec))
+
+    def equal_lengths(instance):
+        # Equal lengths make many suffix loads equal, which widens the slices.
+        jobs = tuple(Job(j, 10.0) for j in range(instance.job_count))
+        return GridInstance(instance.resources, jobs)
+
+    def no_fit(instance):
+        # Windows shorter than every job: the penalty makes the bound so loose
+        # that every prefix's slice is the whole suffix table.
+        ends = (dataclasses.replace(r, end_time=r.start_time + 0.01) for r in instance.resources)
+        return GridInstance(tuple(ends), instance.jobs)
+
+    return {
+        "r3_j13": datasets.fixture_suite()["r3_j13"],
+        "4x10": generated(4, 10, seed=11),
+        "2x20": generated(2, 20, seed=11),
+        "w9x6": generated(9, 6, window=TIGHT_WINDOW, seed=3),
+        "12x6": generated(12, 6, seed=11),
+        "w4x10": generated(4, 10, window=WINDOW, seed=11),
+        "4x10eq": equal_lengths(generated(4, 10, seed=11)),
+        "2x20eq": equal_lengths(generated(2, 20, seed=11)),
+        "nofit4x10": no_fit(generated(4, 10, seed=11)),
+        "nofit12x6": no_fit(generated(12, 6, seed=11)),
+    }
 
 
 def pso_step_faults(instance, config) -> int:
@@ -191,7 +228,7 @@ def run_digests() -> dict[str, dict]:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import SOLVERS, WINDOW, solver_specs
 
-    from gridsched import benchstats, datasets
+    from gridsched import benchstats, datasets, model
     from gridsched.datasets import GeneratorSpec
 
     small = {
@@ -219,6 +256,11 @@ def run_digests() -> dict[str, dict]:
                 )
                 digest.update(repr(record).encode())
             digests[case][solver] = {"runs": len(IDENTITY_SEEDS), "sha256": digest.hexdigest()}
+    for name, instance in oracle_instances().items():
+        assignment, value = model.brute_force_optimum(instance)
+        digest = hashlib.sha256(repr((assignment.assignee, value.hex())).encode())
+        record = {"runs": 1, "sha256": digest.hexdigest()}
+        digests[f"oracle.{name}"] = {"brute_force_optimum": record}
     return digests
 
 

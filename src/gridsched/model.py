@@ -12,7 +12,6 @@ immutable after construction and safe to share between concurrent workers.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -30,6 +29,15 @@ DEFAULT_ENUMERATION_BUDGET = 20_000_000
 # The oracle scores the assignments of its last h jobs in one vector pass per
 # prefix; h is the largest with resource_count ** h at most this.
 _ORACLE_SUFFIX_ASSIGNMENTS = 1 << 14
+
+# The pruned oracle scan reads the prefix table in blocks of about this many
+# cells, so its temporaries stay small however many prefixes there are.
+_ORACLE_PREFIX_BLOCK_CELLS = 1 << 16
+
+# Relative widening of the pruned oracle scan's bound and slice ends: far above
+# the rounding of the loads, completions and room per resource (a few ulps), so
+# no slice drops an entry that scores at most the bound.
+_ORACLE_SLICE_SLACK = 1e-9
 
 # batch_defuzzify decodes stacks of at least this many columns (matrices times
 # jobs) by max and a first-equal mask; np.argmax, which pays per column, is
@@ -355,10 +363,49 @@ def _load_table(lengths: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def _suffix_values(
+    instance: GridInstance, row: np.ndarray, suffix: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """batch_fitness's formula for prefix loads `row` joined with each column of the
+    resource-major suffix loads `suffix`, as a view into `scratch`.
+
+    Every step is elementwise or runs down one column, so a column's value does
+    not depend on which other columns are scored with it.  The steps write
+    into `scratch` (see :func:`_scan_scratch`), so a scan allocates nothing per
+    prefix.
+    """
+    n, width = suffix.shape
+    out = scratch[:n, :width]
+    values = scratch[-1, :width]
+    np.add(row[:, None], suffix, out=out)
+    out /= instance.speeds[:, None]
+    out += instance.start_times[:, None]
+    np.max(out, axis=0, out=values)
+    if instance.windowed:
+        excess = scratch[n : 2 * n, :width]
+        np.subtract(out, instance.end_times[:, None], out=excess)
+        np.clip(excess, 0.0, None, out=excess)
+        # Add the rows into the first in resource order, as batch_fitness does.
+        overshoot = excess[0]
+        for part in excess[1:]:
+            overshoot += part
+        overshoot *= OVERSHOOT_PENALTY
+        values += overshoot
+    return values
+
+
+def _scan_scratch(instance: GridInstance, width: int) -> np.ndarray:
+    """Scratch rows for _suffix_values over up to `width` suffix columns: the
+    completions, then with windows the overshoots, then the values.
+    """
+    n = instance.resource_count
+    return np.empty(((2 * n if instance.windowed else n) + 1, width))
+
+
 def brute_force_optimum(
     instance: GridInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[Assignment, float]:
-    """Enumerate every assignment and return one minimizing the solvers' objective.
+    """Find, over every assignment, one minimizing the solvers' objective.
 
     The objective is the penalized makespan of :func:`batch_fitness`: makespan
     plus OVERSHOOT_PENALTY times the total window overshoot, which is plain
@@ -368,13 +415,28 @@ def brute_force_optimum(
     unless the budget is an integer of at least 1, and OracleBudgetError when
     resource_count ** job_count exceeds it.
 
-    Every assignment is scored, without pruning, from two tables of
-    per-resource cycle loads: one for every assignment of the last h jobs
-    (the suffix, with resource_count ** h <= _ORACLE_SUFFIX_ASSIGNMENTS) and
-    one for every assignment of the jobs before them (the prefix).  Each
-    prefix, in id order, is scored against the whole suffix table with
-    batch_fitness's own formula, so with integer lengths the result is bit for
-    bit the lexicographically first minimizer of batch_fitness.
+    Assignments are scored from two tables of per-resource cycle loads: one
+    for every assignment of the last h jobs (the suffix, with
+    resource_count ** h <= _ORACLE_SUFFIX_ASSIGNMENTS) and one for every
+    assignment of the jobs before them (the prefix).  With one prefix, the
+    whole suffix table is scored.  Otherwise the bound U is the best value of
+    the prefix whose own loads finish earliest, a real schedule's value.  A
+    schedule scores at least its makespan, so one scoring at most U puts at
+    most t_i = (U - start_i) * speed_i - P_i suffix cycles on each resource i,
+    where P_i is the prefix's load.  The suffix loads sum to the suffix's
+    total length T, so the load on the fastest resource k lies in
+    [T - sum of t_i over i != k, t_k]; that is one slice of the suffix table
+    sorted by that load.  Each prefix, in id order, scores its slice (none if
+    some t_i < 0) with batch_fitness's own formula, widened by a relative
+    _ORACLE_SLICE_SLACK so that rounding cannot drop an entry.
+
+    Ties are resolved as a scan of every assignment would: every assignment
+    scoring at most U lies in its prefix's slice, and the first minimizer
+    scores at most U, so it is scored, with the same floats.  Within a slice
+    the smallest suffix id among the entries equal to its minimum is kept, and
+    a later prefix replaces the best only when strictly lower.  So with
+    integer lengths the result is bit for bit the lexicographically first
+    minimizer of batch_fitness.
     """
     check_count("budget", budget, 1)
     n = instance.resource_count
@@ -388,31 +450,66 @@ def brute_force_optimum(
     while h < m and n ** (h + 1) <= _ORACLE_SUFFIX_ASSIGNMENTS:
         h += 1
     prefixes = _load_table(instance.lengths[: m - h], n)
-    # Resource-major, so each resource's loads are one contiguous vector.
-    suffix = np.ascontiguousarray(_load_table(instance.lengths[m - h :], n).T)
-    speeds = instance.speeds[:, None]
-    starts = instance.start_times[:, None]
-    ends = instance.end_times[:, None]
-    completions = np.empty_like(suffix)
-    best_value = math.inf
-    best_id = 0
-    for prefix_id, row in enumerate(prefixes):
-        np.add(row[:, None], suffix, out=completions)
-        completions /= speeds
-        completions += starts
-        values = completions.max(axis=0)
-        if instance.windowed:
-            excess = np.clip(completions - ends, 0.0, None)
-            # One row per resource: reduce adds them in index order.
-            values += OVERSHOOT_PENALTY * functools.reduce(np.add, excess)
-        pos = int(np.argmin(values))
-        # Strict <: prefixes run in id order, so a tie keeps the earlier vector.
-        if values[pos] < best_value:
-            best_value = values[pos]
-            best_id = prefix_id * suffix.shape[1] + pos
+    suffix_lengths = instance.lengths[m - h :]
+    if len(prefixes) == 1:
+        # Resource-major, so each resource's loads are one contiguous vector.
+        suffix = np.ascontiguousarray(_load_table(suffix_lengths, n).T)
+        scratch = _scan_scratch(instance, suffix.shape[1])
+        best_id = int(np.argmin(_suffix_values(instance, prefixes[0], suffix, scratch)))
+    else:
+        best_id = _pruned_scan(instance, prefixes, suffix_lengths)
     assignee = []
     for _ in range(m):
         best_id, digit = divmod(best_id, n)
         assignee.append(digit)
     assignee.reverse()
     return Assignment(tuple(assignee)), float(batch_fitness(instance, np.array([assignee]))[0])
+
+
+def _pruned_scan(
+    instance: GridInstance, prefixes: np.ndarray, suffix_lengths: np.ndarray
+) -> int:
+    """Id of the first minimizer, scoring only the suffix slices that can reach the
+    bound (see :func:`brute_force_optimum`).
+    """
+    speeds, starts = instance.speeds, instance.start_times
+    fastest = int(np.argmax(speeds))
+    suffix = np.ascontiguousarray(_load_table(suffix_lengths, len(speeds)).T)
+    # Suffix ids by their load on the fastest resource; rebinding frees the
+    # unsorted table.
+    order = np.argsort(suffix[fastest], kind="stable")
+    suffix = suffix.take(order, axis=1)
+    keys = suffix[fastest]
+    width = suffix.shape[1]
+    block = max(1, _ORACLE_PREFIX_BLOCK_CELLS // len(speeds))
+    firsts = range(0, len(prefixes), block)
+    finish = np.concatenate(
+        [(prefixes[first : first + block] / speeds + starts).max(axis=1) for first in firsts]
+    )
+    scratch = _scan_scratch(instance, width)
+    bound = _suffix_values(instance, prefixes[int(np.argmin(finish))], suffix, scratch).min()
+    slack = _ORACLE_SLICE_SLACK
+    reach = (bound * (1.0 + slack) - starts) * speeds
+    floor = suffix_lengths.sum() * (1.0 - slack)
+    best_value = math.inf
+    best_id = 0
+    for first in firsts:
+        room = reach - prefixes[first : first + block]
+        fast_room = room[:, fastest]
+        # The room off the fastest resource, as all the room less its own: the
+        # slack on the whole sum covers the subtraction's rounding.
+        lows = np.searchsorted(keys, floor - (1.0 + slack) * room.sum(axis=1) + fast_room, "left")
+        highs = np.searchsorted(keys, (1.0 + slack) * fast_room, "right")
+        highs[(room < 0.0).any(axis=1)] = 0
+        for offset in np.flatnonzero(lows < highs):
+            low, high = lows[offset], highs[offset]
+            row = prefixes[first + offset]
+            values = _suffix_values(instance, row, suffix[:, low:high], scratch)
+            value = values.min()
+            # Strict <: prefixes run in id order, so a tie keeps the earlier vector.
+            if value < best_value:
+                best_value = value
+                # The slice is in load order; a tie within it keeps the smallest suffix id.
+                suffix_id = int(order[low:high][values == value].min())
+                best_id = (first + offset) * width + suffix_id
+    return best_id

@@ -61,6 +61,22 @@ WINDOW = ((0.0, 5.0), (20.0, 60.0))
 # Windows that most resources overrun, so the overshoot sums many terms.
 TIGHT_WINDOW = ((0.0, 5.0), (10.0, 20.0))
 
+NO_FIT_SPEEDS = (1.0, 2.0, 4.0)
+NO_FIT_LENGTHS = (3.0, 5.0, 8.0, 9.0, 12.0, 14.0)
+# Window ends of resources that start at 1.0.  A 0.5-unit window is shorter
+# than every job, whose shortest run is 3 / 4 = 0.75 units.
+NO_FIT_ENDS = {"every_window": (1.5, 1.5, 1.5), "some_windows": (1.5, math.inf, 20.0)}
+
+
+def no_fit_instance(ends):
+    return GridInstance(
+        resources=tuple(
+            Resource(i, speed, start_time=1.0, end_time=end)
+            for i, (speed, end) in enumerate(zip(NO_FIT_SPEEDS, ends))
+        ),
+        jobs=tuple(Job(j, length) for j, length in enumerate(NO_FIT_LENGTHS)),
+    )
+
 
 def real_field(build, name, low, high, open_low, open_high, inside):
     config = type(build(inside)).__name__
@@ -249,6 +265,36 @@ class TestSharedBehaviors:
         assert len(result.trace) == result.iterations_run + 1
         assert result.trace[-1] == result.best_makespan
         assert result.best_makespan == model.assignment_fitness(instance, result.best_assignment)
+
+    @pytest.mark.parametrize("ends", NO_FIT_ENDS.values(), ids=NO_FIT_ENDS)
+    @pytest.mark.parametrize("name", sorted(SOLVERS) + ["oracle"])
+    def test_window_that_no_job_fits_is_scored_not_refused(self, name, ends):
+        instance = no_fit_instance(ends)
+        if name == "oracle":
+            assignment, value = brute_force_optimum(instance)
+        else:
+            solver, make_config = SOLVERS[name]
+            result = solver(instance, make_config(seed=3))
+            assignment, value = result.best_assignment, result.best_makespan
+        assert math.isfinite(value)
+        assert value == model.assignment_fitness(instance, assignment)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "r3_j13",
+            GeneratorSpec(3, 7, window=WINDOW, seed=15),
+            # 4 ** 9 assignments: the oracle scans 16 prefixes against the bound.
+            GeneratorSpec(4, 9, window=WINDOW, seed=1),
+            no_fit_instance(NO_FIT_ENDS["every_window"]),
+        ],
+        ids=["r3_j13", "w3x7_s15", "w4x9_s1", "no_fit"],
+    )
+    def test_no_solver_beats_the_oracle(self, source):
+        instance = identity_instance(source)
+        _, optimum = brute_force_optimum(instance)
+        for name, (solver, make_config) in sorted(SOLVERS.items()):
+            assert solver(instance, make_config(seed=3)).best_makespan >= optimum, name
 
 
 def reference_ga(instance, config):

@@ -3,13 +3,15 @@ import itertools
 import math
 import operator
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gridsched import model
 from gridsched.datasets import GeneratorSpec, fixture_suite, generate_instance
 from gridsched.model import (
     _MASK_DECODE_MIN_COLUMNS,
@@ -491,6 +493,39 @@ class TestBruteForce:
     def test_equals_first_minimiser_over_every_assignment(self, n, m, window, seed):
         inst = generate_instance(GeneratorSpec(n, m, window=window, seed=seed))
         assert brute_force_optimum(inst) == first_minimiser(inst)
+
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 8),
+        window=st.sampled_from([None, ((0.0, 5.0), (20.0, 60.0)), ((0.0, 5.0), (10.0, 20.0))]),
+        equal_lengths=st.booleans(),
+        equal_speeds=st.booleans(),
+        suffix_jobs=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_scan_equals_first_minimiser_across_prefixes(
+        self, n, m, window, equal_lengths, equal_speeds, suffix_jobs, seed
+    ):
+        # A suffix table of n ** suffix_jobs rows leaves n ** (m - suffix_jobs)
+        # prefixes, so the bound and the per-prefix slices decide the answer.
+        # Equal lengths or speeds tie many assignments, also ones whose loads on
+        # the fastest resource differ, which the slices hold in load order.
+        inst = generate_instance(GeneratorSpec(n, m, window=window, seed=seed))
+        resources, jobs = inst.resources, inst.jobs
+        if equal_lengths:
+            jobs = tuple(Job(j, jobs[0].length) for j in range(m))
+        if equal_speeds:
+            resources = tuple(replace(r, speed=resources[0].speed) for r in resources)
+        inst = GridInstance(resources, jobs)
+        with mock.patch.object(model, "_ORACLE_SUFFIX_ASSIGNMENTS", n**suffix_jobs):
+            assert brute_force_optimum(inst) == first_minimiser(inst)
+
+    def test_tie_within_a_slice_keeps_the_smallest_suffix_id(self):
+        # Prefix (0,) ties suffixes (1, 0) and (1, 1) at 2.0.  Sorted by load on
+        # resource 0, (1, 1) comes first, but (1, 0) has the smaller id.
+        inst = make_instance([2.0, 2.0], [3.0, 3.0, 1.0])
+        with mock.patch.object(model, "_ORACLE_SUFFIX_ASSIGNMENTS", 4):
+            assert brute_force_optimum(inst) == (Assignment((0, 1, 0)), 2.0)
 
     def test_overshoot_summed_in_resource_order_on_nine_resources(self):
         # Four equal tight-window resources and five slow unbounded ones: many
